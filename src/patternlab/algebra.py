@@ -25,9 +25,9 @@ from typing import Iterable
 import numpy as np
 
 from .errors import CapExceeded
-from .lagrangian import (OptimizerConfig, OptimizerReport, SimplexPoint,
-                         _as_weights, _maximize_arrays, _polynomial,
-                         eval_lagrange, eval_lagrange_unnormalized, maximize)
+from .lagrangian import (OptimizerConfig, OptimizerReport, _as_weights,
+                         _maximize_poly, _Poly, _polynomial, eval_lagrange,
+                         eval_lagrange_unnormalized, maximize)
 from .patterns import (Multiset, Pattern, iter_multisets, random_pattern,
                        relabel_pattern)
 
@@ -255,6 +255,12 @@ class ReducedObjective:
             raise ValueError(f"lambda2 must lie in [0, 1], got {self.lambda2}")
 
 
+def _reduced_polynomial(ro: ReducedObjective) -> _Poly:
+    """The reduced objective as one slot-table polynomial: the host's edges
+    plus a diagonal term <i, ..., i> of weight lambda2 per glued index i."""
+    return _polynomial(ro.base).plus_powers([i - 1 for i in ro.glue], ro.lambda2)
+
+
 def eval_phi(ro: ReducedObjective, x) -> float:
     """Reduced objective value at a host-simplex point."""
     w = _as_weights(ro.base.m, x)
@@ -273,21 +279,7 @@ def map_f(P1: Pattern, glue, lambda2: float,
     glued index's full diagonal multiset.
     """
     ro = ReducedObjective(P1, glue, float(lambda2))
-    cfg = cfg or OptimizerConfig()
-    A, coef = _polynomial(P1)
-    extra = np.zeros((len(ro.glue), P1.m), dtype=np.int64)
-    for row, i in enumerate(ro.glue):
-        extra[row, i - 1] = P1.r
-    A_aug = np.vstack([A, extra])
-    coef_aug = np.concatenate([coef, np.full(len(ro.glue), ro.lambda2)])
-    if P1.m == 1:
-        x = np.ones(1)
-        value = eval_phi(ro, x)
-        return OptimizerReport(value, SimplexPoint(x), (1,), 1, True, 0.0)
-    x, value, kkt, converged, used = _maximize_arrays(A_aug, coef_aug, P1.m, cfg)
-    point = SimplexPoint(x)
-    support = tuple(int(i + 1) for i in np.nonzero(x > cfg.support_threshold)[0])
-    return OptimizerReport(value, point, support, used, converged, kkt)
+    return _maximize_poly(_reduced_polynomial(ro), cfg or OptimizerConfig())
 
 
 def grosu_map(a, m: int, r: int) -> Fraction:

@@ -167,21 +167,63 @@ class OptimizerReport:
 # ---------------------------------------------------------------------------
 
 
+class _Poly:
+    """A homogeneous degree-r polynomial on m indices as a slot table.
+
+    Column e of the r x E slot table is edge e's sorted multiset expansion
+    with 0-based indices, so the edge <1,1,2> owns slots (0, 0, 1); coef[e]
+    is its coefficient, r!/prod(mult!) for a pattern edge.  Each term is the
+    product of the weights in its r slots, so every kernel gathers r columns
+    of the point matrix and costs O(S*E*r) for S points, whatever m is.
+    """
+
+    __slots__ = ("slots", "coef", "m", "r", "_scatter")
+
+    def __init__(self, slots: np.ndarray, coef: np.ndarray, m: int):
+        slots.setflags(write=False)
+        coef.setflags(write=False)
+        self.slots = slots
+        self.coef = coef
+        self.m = m
+        self.r = slots.shape[0]
+        self._scatter = None
+
+    @property
+    def scatter(self) -> np.ndarray:
+        """(r*E) x m matrix sending row j*E + e (slot j of edge e) to column
+        slots[j, e] with weight coef[e], so one matmul sums the slot
+        derivatives.  Built on the first gradient, so callers that only
+        evaluate (the exact suites) never hold it."""
+        if self._scatter is None:
+            r, E = self.slots.shape
+            W = np.zeros((r * E, self.m))
+            W[np.arange(r * E), self.slots.reshape(-1)] = np.tile(self.coef, r)
+            W.setflags(write=False)
+            self._scatter = W
+        return self._scatter
+
+    def plus_powers(self, indices, weight: float) -> "_Poly":
+        """This polynomial plus weight * sum of x_i^r over 0-based indices."""
+        idx = np.asarray(indices, dtype=np.intp)
+        slots = np.hstack([self.slots, np.tile(idx, (self.r, 1))])
+        coef = np.concatenate([self.coef, np.full(idx.size, float(weight))])
+        return _Poly(slots, coef, self.m)
+
+
 @lru_cache(maxsize=8192)
-def _polynomial(P: Pattern) -> tuple[np.ndarray, np.ndarray]:
-    """Exponent matrix (edges x m) and float coefficients r!/prod(mult!)."""
-    A = np.zeros((len(P.edges), P.m), dtype=np.int64)
+def _polynomial(P: Pattern) -> _Poly:
+    """Slot table and float coefficients r!/prod(mult!) of P's density
+    polynomial."""
+    slots = np.empty((P.r, len(P.edges)), dtype=np.intp)
     coef = np.empty(len(P.edges), dtype=float)
     r_fact = math.factorial(P.r)
-    for row, e in enumerate(P.edges):
+    for col, e in enumerate(P.edges):
+        slots[:, col] = e.expansion
         denom = 1
-        for i, mult in e.counts().items():
-            A[row, i - 1] = mult
+        for mult in e.counts().values():
             denom *= math.factorial(mult)
-        coef[row] = r_fact / denom
-    A.setflags(write=False)
-    coef.setflags(write=False)
-    return A, coef
+        coef[col] = r_fact / denom
+    return _Poly(slots - 1, coef, P.m)
 
 
 @lru_cache(maxsize=8192)
@@ -209,24 +251,35 @@ def _as_weights(m: int, x) -> np.ndarray:
     return w
 
 
-def _value_rows(A: np.ndarray, coef: np.ndarray, X: np.ndarray) -> np.ndarray:
-    # 0.0 ** 0 == 1.0 in numpy, so absent indices contribute factor 1.
-    return (X[:, None, :] ** A[None, :, :]).prod(axis=2) @ coef
+def _value_rows(poly: _Poly, X: np.ndarray) -> np.ndarray:
+    slots = poly.slots
+    terms = X[:, slots[0]]
+    for idx in slots[1:]:
+        terms *= X[:, idx]
+    return terms @ poly.coef
 
 
-def _grad_rows(A: np.ndarray, coef: np.ndarray, X: np.ndarray) -> np.ndarray:
-    S, m = X.shape
-    if A.shape[0] == 0:
-        return np.zeros((S, m))
-    pw = X[:, None, :] ** A[None, :, :]  # S x E x m
-    # prod over i != k via exclusive prefix/suffix products along the index axis
-    prefix = np.ones_like(pw)
-    suffix = np.ones_like(pw)
-    if m > 1:
-        np.cumprod(pw[:, :, :-1], axis=2, out=prefix[:, :, 1:])
-        suffix[:, :, :-1] = np.cumprod(pw[:, :, :0:-1], axis=2)[:, :, ::-1]
-    col = A[None, :, :] * X[:, None, :] ** np.maximum(A - 1, 0)[None, :, :]
-    return np.einsum("sek,sek,e->sk", prefix * suffix, col, coef)
+def _grad_rows(poly: _Poly, X: np.ndarray) -> np.ndarray:
+    """Row gradients: the derivative of a term along slot j is the product of
+    its other r-1 slots, scattered onto column slots[j, e]."""
+    r, E = poly.slots.shape
+    gathered = [X[:, idx] for idx in poly.slots]
+    # Exclusive prefix and suffix products over the r slots, unrolled: r is
+    # tiny, and cumprod along a short axis is far slower than r-1 multiplies.
+    prefix = [None] * r
+    suffix = [None] * r
+    prefix[1] = gathered[0]
+    for j in range(2, r):
+        prefix[j] = prefix[j - 1] * gathered[j - 1]
+    suffix[r - 2] = gathered[r - 1]
+    for j in range(r - 3, -1, -1):
+        suffix[j] = suffix[j + 1] * gathered[j + 1]
+    others = np.empty((X.shape[0], r * E))
+    others[:, :E] = suffix[0]
+    others[:, (r - 1) * E:] = prefix[r - 1]
+    for j in range(1, r - 1):
+        np.multiply(prefix[j], suffix[j], out=others[:, j * E:(j + 1) * E])
+    return others @ poly.scatter
 
 
 # ---------------------------------------------------------------------------
@@ -237,8 +290,7 @@ def _grad_rows(A: np.ndarray, coef: np.ndarray, X: np.ndarray) -> np.ndarray:
 def eval_lagrange(P: Pattern, x) -> float:
     """Density polynomial of P at a simplex point x (dimension m)."""
     w = _as_weights(P.m, x)
-    A, coef = _polynomial(P)
-    return float(_value_rows(A, coef, w[None, :])[0])
+    return float(_value_rows(_polynomial(P), w[None, :])[0])
 
 
 def eval_lagrange_unnormalized(P: Pattern, y) -> float:
@@ -252,15 +304,13 @@ def eval_lagrange_unnormalized(P: Pattern, y) -> float:
         raise ValueError(f"point has dimension {w.size}, pattern has m={P.m}")
     if (w < 0).any():
         raise ValueError(f"negative weight {w.min()}")
-    A, coef = _polynomial(P)
-    return float(_value_rows(A, coef, w[None, :])[0])
+    return float(_value_rows(_polynomial(P), w[None, :])[0])
 
 
 def grad_lagrange(P: Pattern, x) -> np.ndarray:
     """Gradient of the density polynomial at x; satisfies x . grad = r * value."""
     w = _as_weights(P.m, x)
-    A, coef = _polynomial(P)
-    return _grad_rows(A, coef, w[None, :])[0]
+    return _grad_rows(_polynomial(P), w[None, :])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -298,38 +348,31 @@ def _kkt_rows(X: np.ndarray, G: np.ndarray, mu: np.ndarray) -> np.ndarray:
     return np.maximum(r_eq, r_in)
 
 
-def _hessian(A: np.ndarray, coef: np.ndarray, x: np.ndarray) -> np.ndarray:
-    m = x.size
-    H = np.zeros((m, m))
-    if A.shape[0] == 0:
-        return H
-    pw = x[None, :] ** A
-    A1 = np.maximum(A - 1, 0)
-    A2 = np.maximum(A - 2, 0)
-    for j in range(m):
-        aj = A[:, j]
-        tmp = pw.copy()
-        tmp[:, j] = aj * (aj - 1) * x[j] ** A2[:, j]
-        H[j, j] = coef @ tmp.prod(axis=1)
-        colj = aj * x[j] ** A1[:, j]
-        for k in range(j + 1, m):
-            ak = A[:, k]
-            tmp = pw.copy()
-            tmp[:, j] = colj
-            tmp[:, k] = ak * x[k] ** A1[:, k]
-            H[j, k] = H[k, j] = coef @ tmp.prod(axis=1)
+def _hessian(poly: _Poly, x: np.ndarray) -> np.ndarray:
+    """Hessian at one point: each ordered slot pair (j, k), j != k, of a term
+    adds coef times the product of its other r-2 slots to H[slots[j], slots[k]]."""
+    H = np.zeros((poly.m, poly.m))
+    gathered = x[poly.slots]
+    for j, k in itertools.combinations(range(poly.r), 2):
+        rest = poly.coef
+        for other in range(poly.r):
+            if other != j and other != k:
+                rest = rest * gathered[other]
+        np.add.at(H, (poly.slots[j], poly.slots[k]), rest)
+        np.add.at(H, (poly.slots[k], poly.slots[j]), rest)
     return H
 
 
-def _kkt_polish(A: np.ndarray, coef: np.ndarray, x: np.ndarray,
-                max_steps: int = 25) -> np.ndarray:
+def _kkt_polish(poly: _Poly, x: np.ndarray, max_steps: int = 25) -> np.ndarray:
     """Newton refinement of stationarity on the support face of x.
 
     Ascent alone floors the KKT residual near sqrt(eps) because objective
     comparisons hit float noise; equalizing the support gradient by Newton
-    steps takes the residual to machine precision.  Guarded: any step that
-    leaves the face, blows up, or is large is rejected and the input point
-    survives unchanged.
+    steps takes the residual to machine precision.  When the maximizers form
+    a face (a blowup's optimum can spread over a class in many ways), the
+    Newton matrix is singular, so the step is the minimum-norm least-squares
+    solution.  Guarded: any step that leaves the face, blows up, or is large
+    is rejected and the input point survives unchanged.
     """
     x = x.copy()
     s = np.nonzero(x > 1e-12)[0]
@@ -337,19 +380,19 @@ def _kkt_polish(A: np.ndarray, coef: np.ndarray, x: np.ndarray,
         return x
     k = s.size
     for _ in range(max_steps):
-        g = _grad_rows(A, coef, x[None, :])[0]
+        g = _grad_rows(poly, x[None, :])[0]
         mu = float(x @ g)
         res = g[s] - mu
         if np.abs(res).max() <= 1e-14 * max(1.0, abs(mu)):
             break
-        H = _hessian(A, coef, x)[np.ix_(s, s)]
+        H = _hessian(poly, x)[np.ix_(s, s)]
         J = np.zeros((k + 1, k + 1))
         J[:k, :k] = H
         J[:k, k] = -1.0
         J[k, :k] = 1.0
         rhs = np.concatenate([-res, [0.0]])
         try:
-            step = np.linalg.solve(J, rhs)
+            step = np.linalg.lstsq(J, rhs, rcond=None)[0]
         except np.linalg.LinAlgError:
             break
         dx = step[:k]
@@ -363,16 +406,16 @@ def _kkt_polish(A: np.ndarray, coef: np.ndarray, x: np.ndarray,
     return x
 
 
-def _describe(A: np.ndarray, coef: np.ndarray, x: np.ndarray):
+def _describe(poly: _Poly, x: np.ndarray):
     """(value, kkt residual, multiplier, x) at a single point."""
-    f = float(_value_rows(A, coef, x[None, :])[0])
-    g = _grad_rows(A, coef, x[None, :])[0]
+    f = float(_value_rows(poly, x[None, :])[0])
+    g = _grad_rows(poly, x[None, :])[0]
     mu = float(x @ g)
     kk = float(_kkt_rows(x[None, :], g[None, :], np.array([mu]))[0])
     return f, kk, mu, x
 
 
-def _finish_row(A: np.ndarray, coef: np.ndarray, x: np.ndarray):
+def _finish_row(poly: _Poly, x: np.ndarray):
     """Refine a plateaued iterate.
 
     Degenerate boundary optima (a coordinate decays like 1/k because its
@@ -381,8 +424,8 @@ def _finish_row(A: np.ndarray, coef: np.ndarray, x: np.ndarray):
     snapped copies with near-zero coordinates pinned to the boundary.  The
     best objective value wins, so this step can only sharpen the result.
     """
-    cands = [_describe(A, coef, x)]
-    cands.append(_describe(A, coef, _kkt_polish(A, coef, x)))
+    cands = [_describe(poly, x)]
+    cands.append(_describe(poly, _kkt_polish(poly, x)))
     support_size = int((x > 1e-12).sum())
     for threshold in (1e-2, 1e-3):
         y = x.copy()
@@ -391,7 +434,7 @@ def _finish_row(A: np.ndarray, coef: np.ndarray, x: np.ndarray):
         if total <= 0 or int((y > 0).sum()) == support_size:
             continue
         y /= total
-        cands.append(_describe(A, coef, _kkt_polish(A, coef, y)))
+        cands.append(_describe(poly, _kkt_polish(poly, y)))
     best_f = max(c[0] for c in cands)
     viable = [c for c in cands if c[0] >= best_f - 1e-12]
     return min(viable, key=lambda c: (c[1], tuple(c[3])))
@@ -433,15 +476,16 @@ def _random_starts(rng: np.random.Generator, m: int, count: int) -> np.ndarray:
     return E / sums
 
 
-def _maximize_arrays(A: np.ndarray, coef: np.ndarray, m: int, cfg: OptimizerConfig):
+def _maximize_arrays(poly: _Poly, cfg: OptimizerConfig):
     """Multistart projected gradient ascent with Armijo backtracking.
 
     All starts advance in lockstep (vectorized rows).  Returns the winning
     row: (x, value, kkt_residual, converged, starts_used).  Ties in value
     within 1e-12 go to the lexicographically smallest point.
     """
-    value_of = lambda X: _value_rows(A, coef, X)
-    grad_of = lambda X: _grad_rows(A, coef, X)
+    m = poly.m
+    value_of = lambda X: _value_rows(poly, X)
+    grad_of = lambda X: _grad_rows(poly, X)
 
     rng = np.random.default_rng(cfg.seed)
     X = np.vstack([_barycenter_starts(m), _random_starts(rng, m, cfg.restarts)])
@@ -502,14 +546,14 @@ def _maximize_arrays(A: np.ndarray, coef: np.ndarray, m: int, cfg: OptimizerConf
     for row in np.nonzero(contenders)[0]:
         key = tuple(np.round(X[row], 9))
         if key not in finished:
-            f_row, _, _, x_row = _finish_row(A, coef, X[row])
+            f_row, _, _, x_row = _finish_row(poly, X[row])
             finished[key] = (f_row, x_row)
         F[row], X[row] = finished[key]
 
     vmax = F.max()
     candidates = np.nonzero(F >= vmax - 1e-12)[0]
     best = int(min(candidates, key=lambda s: tuple(X[s])))
-    f_best, kkt_best, mu_best, x_best = _describe(A, coef, X[best].copy())
+    f_best, kkt_best, mu_best, x_best = _describe(poly, X[best].copy())
     accept_tol = KKT_ACCEPT_FACTOR * cfg.tolerance * max(1.0, abs(mu_best))
     return x_best, f_best, kkt_best, bool(kkt_best <= accept_tol), S
 
@@ -521,18 +565,20 @@ def maximize(P: Pattern, cfg: OptimizerConfig | None = None) -> OptimizerReport:
     (it is the polynomial evaluated at the reported point); converged means
     the KKT stationarity residual met the acceptance threshold.
     """
-    cfg = cfg or OptimizerConfig()
-    A, coef = _polynomial(P)
-    if P.m == 1:
+    return _maximize_poly(_polynomial(P), cfg or OptimizerConfig())
+
+
+def _maximize_poly(poly: _Poly, cfg: OptimizerConfig) -> OptimizerReport:
+    """Report for the maximum of any slot-table polynomial over the simplex;
+    the one path behind maximize and the reduced objective of gluing."""
+    if poly.m == 1:
         x = np.ones(1)
-        value = float(_value_rows(A, coef, x[None, :])[0])
-        point = SimplexPoint(x)
-        support = (1,) if x[0] > cfg.support_threshold else ()
-        return OptimizerReport(value, point, support, 1, True, 0.0)
-    x, value, kkt, converged, used = _maximize_arrays(A, coef, P.m, cfg)
-    point = SimplexPoint(x)
+        value = float(_value_rows(poly, x[None, :])[0])
+        kkt, converged, used = 0.0, True, 1
+    else:
+        x, value, kkt, converged, used = _maximize_arrays(poly, cfg)
     support = tuple(int(i + 1) for i in np.nonzero(x > cfg.support_threshold)[0])
-    return OptimizerReport(value, point, support, used, converged, kkt)
+    return OptimizerReport(value, SimplexPoint(x), support, used, converged, kkt)
 
 
 def lagrangian_of_hypergraph(G: Hypergraph, cfg: OptimizerConfig | None = None) -> OptimizerReport:

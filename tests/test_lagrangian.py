@@ -377,3 +377,23 @@ def test_hypergraph_lagrangian_empty():
 def test_minimality_suite_passes():
     report = pl.minimality_suite()
     assert report["passed"], report
+
+
+def test_blowup_lagrangian_converges_on_face_of_maximizers():
+    # The maximizers of a blowup form a face, so the support-face Newton
+    # matrix is singular; seed 108 used to stop at KKT residual 1.46e-7.
+    G, _ = pl.blowup(pl.complete_pattern(4, 3), (3, 3, 3, 3))
+    rep = pl.lagrangian_of_hypergraph(G, OptimizerConfig(seed=108))
+    assert rep.converged
+    assert rep.kkt_residual < 1e-12
+    assert rep.value == pytest.approx(3 / 8, abs=1e-12)
+
+
+def test_blowup_lagrangian_converges_across_seeds():
+    # Seeds 40, 50, 51, 56, 61, 62 and 68 also ended unconverged before
+    # the polish took minimum-norm steps.
+    G, _ = pl.blowup(pl.complete_pattern(4, 3), (3, 3, 3, 3))
+    for seed in range(40, 70):
+        rep = pl.lagrangian_of_hypergraph(G, OptimizerConfig(seed=seed))
+        assert rep.converged, seed
+        assert rep.value == pytest.approx(3 / 8, abs=1e-12), seed
