@@ -3,9 +3,8 @@
 Every subcommand prints a single JSON document on stdout embedding a run
 manifest (command line, effective config, input file hashes, tool version,
 seed), so identical invocations on identical inputs produce byte-identical
-output in the default single-threaded mode.  Wall-clock time goes to
-stderr; --timing copies it into the manifest (at the cost of bytewise
-reproducibility).
+output.  Wall-clock time goes to stderr; --timing copies it into the
+manifest (at the cost of bytewise reproducibility).
 
 Exit codes: 0 ok, 2 bad input, 3 resource cap exceeded, 4 verification
 failure.
@@ -21,7 +20,6 @@ import os
 import re
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -218,12 +216,7 @@ def _cmd_verify(args) -> tuple[dict, int, list[str]]:
         "minimality": lambda: minimality_suite(cfg, seed=args.seed),
         "construction": lambda: construction_suite(seed=args.seed, cfg=cfg),
     }
-    tasks = [runners[name] for name in names]
-    if args.jobs > 1 and len(tasks) > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            reports = list(pool.map(lambda fn: fn(), tasks))
-    else:
-        reports = [fn() for fn in tasks]
+    reports = [runners[name]() for name in names]
     passed = all(rep["passed"] for rep in reports)
     result = {"suites": reports, "passed": passed}
     return result, EXIT_OK if passed else EXIT_VERIFICATION, []
@@ -309,8 +302,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("suite", choices=_SUITES + ("all",))
     p.add_argument("--trials", type=int, default=200, help="random trials where applicable")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="parallel suite execution (default 1 for bytewise reproducibility)")
     _optimizer_flags(p)
     p.set_defaults(fn=_cmd_verify)
 

@@ -20,7 +20,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, wraps
 from typing import Iterator
 
 import numpy as np
@@ -52,6 +52,14 @@ __all__ = [
 KKT_ACCEPT_FACTOR = 1e3
 
 SIMPLEX_SUM_TOL = 1e-12
+
+# Sufficient-increase constant of the Armijo test.  A full step at the 2/L
+# stability edge of a symmetric optimum (offdiagonal_pattern(3, 3)) swaps
+# the deviation between two coordinates every iteration and gains only a
+# third-order amount, which a 1e-4 test still accepts, so the objective gap
+# decays like 1/k over thousands of iterations.  1e-2 rejects such steps;
+# the step then halves and the iterate converges in a few dozen passes.
+ARMIJO_INCREASE = 1e-2
 
 
 class SimplexPoint:
@@ -175,9 +183,12 @@ class _Poly:
     is its coefficient, r!/prod(mult!) for a pattern edge.  Each term is the
     product of the weights in its r slots, so every kernel gathers r columns
     of the point matrix and costs O(S*E*r) for S points, whatever m is.
+    The value, gradient and Hessian kernels take block rows at a time, so
+    each S x E temporary stays cache-sized (256 KB) however many points are
+    passed; a single point is one block.
     """
 
-    __slots__ = ("slots", "coef", "m", "r", "_scatter")
+    __slots__ = ("slots", "coef", "m", "r", "block", "_scatter")
 
     def __init__(self, slots: np.ndarray, coef: np.ndarray, m: int):
         slots.setflags(write=False)
@@ -186,6 +197,7 @@ class _Poly:
         self.coef = coef
         self.m = m
         self.r = slots.shape[0]
+        self.block = max(16, 32768 // max(1, slots.shape[1]))
         self._scatter = None
 
     @property
@@ -251,6 +263,19 @@ def _as_weights(m: int, x) -> np.ndarray:
     return w
 
 
+def _row_blocks(kernel):
+    """Run kernel(poly, X) on blocks of at most poly.block rows of X and
+    stack the results."""
+    @wraps(kernel)
+    def blocked(poly: _Poly, X: np.ndarray) -> np.ndarray:
+        if X.shape[0] <= poly.block:
+            return kernel(poly, X)
+        return np.concatenate([kernel(poly, X[i:i + poly.block])
+                               for i in range(0, X.shape[0], poly.block)])
+    return blocked
+
+
+@_row_blocks
 def _value_rows(poly: _Poly, X: np.ndarray) -> np.ndarray:
     slots = poly.slots
     terms = X[:, slots[0]]
@@ -259,6 +284,7 @@ def _value_rows(poly: _Poly, X: np.ndarray) -> np.ndarray:
     return terms @ poly.coef
 
 
+@_row_blocks
 def _grad_rows(poly: _Poly, X: np.ndarray) -> np.ndarray:
     """Row gradients: the derivative of a term along slot j is the product of
     its other r-1 slots, scattered onto column slots[j, e]."""
@@ -348,96 +374,116 @@ def _kkt_rows(X: np.ndarray, G: np.ndarray, mu: np.ndarray) -> np.ndarray:
     return np.maximum(r_eq, r_in)
 
 
-def _hessian(poly: _Poly, x: np.ndarray) -> np.ndarray:
-    """Hessian at one point: each ordered slot pair (j, k), j != k, of a term
-    adds coef times the product of its other r-2 slots to H[slots[j], slots[k]]."""
-    H = np.zeros((poly.m, poly.m))
-    gathered = x[poly.slots]
+@_row_blocks
+def _hessian_rows(poly: _Poly, X: np.ndarray) -> np.ndarray:
+    """S x m x m Hessians: each ordered slot pair (j, k), j != k, of a term
+    adds coef times the product of its other r-2 slots to H[slots[j], slots[k]];
+    one bincount over the flattened (row, index pair) cells sums them all."""
+    S, m = X.shape
+    E = poly.slots.shape[1]
+    gathered = [X[:, idx] for idx in poly.slots]
+    cells, weights = [], []
     for j, k in itertools.combinations(range(poly.r), 2):
-        rest = poly.coef
+        rest = np.broadcast_to(poly.coef, (S, E))
         for other in range(poly.r):
             if other != j and other != k:
                 rest = rest * gathered[other]
-        np.add.at(H, (poly.slots[j], poly.slots[k]), rest)
-        np.add.at(H, (poly.slots[k], poly.slots[j]), rest)
-    return H
+        cells += [poly.slots[j] * m + poly.slots[k], poly.slots[k] * m + poly.slots[j]]
+        weights += [rest, rest]
+    flat = np.arange(S)[:, None] * (m * m) + np.concatenate(cells)
+    H = np.bincount(flat.ravel(), np.hstack(weights).ravel(), minlength=S * m * m)
+    return H.reshape(S, m, m)
 
 
-def _kkt_polish(poly: _Poly, x: np.ndarray, max_steps: int = 25) -> np.ndarray:
-    """Newton refinement of stationarity on the support face of x.
+def _kkt_polish_rows(poly: _Poly, X: np.ndarray, max_steps: int = 25) -> np.ndarray:
+    """Newton refinement of stationarity on the support face of each row.
 
     Ascent alone floors the KKT residual near sqrt(eps) because objective
     comparisons hit float noise; equalizing the support gradient by Newton
     steps takes the residual to machine precision.  When the maximizers form
     a face (a blowup's optimum can spread over a class in many ways), the
     Newton matrix is singular, so the step is the minimum-norm least-squares
-    solution.  Guarded: any step that leaves the face, blows up, or is large
-    is rejected and the input point survives unchanged.
+    solution, pinv(J) @ rhs with lstsq's default cutoff.  Rows on one face
+    share a batched solve per step, but the guards act per row: a row whose
+    step leaves the face, blows up, or is large stops at its last point.
     """
-    x = x.copy()
-    s = np.nonzero(x > 1e-12)[0]
-    if s.size == 0:
-        return x
-    k = s.size
-    for _ in range(max_steps):
-        g = _grad_rows(poly, x[None, :])[0]
-        mu = float(x @ g)
-        res = g[s] - mu
-        if np.abs(res).max() <= 1e-14 * max(1.0, abs(mu)):
-            break
-        H = _hessian(poly, x)[np.ix_(s, s)]
-        J = np.zeros((k + 1, k + 1))
-        J[:k, :k] = H
-        J[:k, k] = -1.0
-        J[k, :k] = 1.0
-        rhs = np.concatenate([-res, [0.0]])
-        try:
-            step = np.linalg.lstsq(J, rhs, rcond=None)[0]
-        except np.linalg.LinAlgError:
-            break
-        dx = step[:k]
-        if not np.isfinite(dx).all() or np.abs(dx).max() > 0.1:
-            break
-        trial = x.copy()
-        trial[s] = x[s] + dx
-        if (trial[s] <= 0).any():
-            break
-        x = trial
-    return x
+    X = X.copy()
+    faces, face_of = np.unique(X > 1e-12, axis=0, return_inverse=True)
+    for face, on_face in enumerate(faces):
+        s = np.nonzero(on_face)[0]
+        k = s.size
+        if k == 0:
+            continue
+        rows = np.nonzero(face_of == face)[0]
+        for _ in range(max_steps):
+            x = X[rows]
+            g = _grad_rows(poly, x)
+            mu = (x * g).sum(axis=1)
+            res = g[:, s] - mu[:, None]
+            live = np.abs(res).max(axis=1) > 1e-14 * np.maximum(1.0, np.abs(mu))
+            rows, x, res = rows[live], x[live], res[live]
+            if rows.size == 0:
+                break
+            J = np.zeros((rows.size, k + 1, k + 1))
+            J[:, :k, :k] = _hessian_rows(poly, x)[:, s[:, None], s]
+            J[:, :k, k] = -1.0
+            J[:, k, :k] = 1.0
+            rhs = np.zeros((rows.size, k + 1, 1))
+            rhs[:, :k, 0] = -res
+            try:
+                dx = (np.linalg.pinv(J) @ rhs)[:, :k, 0]
+            except np.linalg.LinAlgError:
+                break
+            # The last row of J asks sum(dx) = 0.  At condition numbers near
+            # 1/eps, pinv can miss it by 1e-7; removing the mean keeps the
+            # point on the simplex.
+            dx -= dx.mean(axis=1, keepdims=True)
+            trial = x[:, s] + dx
+            ok = (np.isfinite(dx).all(axis=1) & (np.abs(dx).max(axis=1) <= 0.1)
+                  & (trial > 0).all(axis=1))
+            rows = rows[ok]
+            X[np.ix_(rows, s)] = trial[ok]
+    return X
 
 
-def _describe(poly: _Poly, x: np.ndarray):
-    """(value, kkt residual, multiplier, x) at a single point."""
-    f = float(_value_rows(poly, x[None, :])[0])
-    g = _grad_rows(poly, x[None, :])[0]
-    mu = float(x @ g)
-    kk = float(_kkt_rows(x[None, :], g[None, :], np.array([mu]))[0])
-    return f, kk, mu, x
+def _describe_rows(poly: _Poly, X: np.ndarray):
+    """(values, kkt residuals, multipliers) of the rows of X."""
+    G = _grad_rows(poly, X)
+    mu = (X * G).sum(axis=1)
+    return _value_rows(poly, X), _kkt_rows(X, G, mu), mu
 
 
-def _finish_row(poly: _Poly, x: np.ndarray):
-    """Refine a plateaued iterate.
+def _finish_rows(poly: _Poly, X: np.ndarray):
+    """Refine plateaued iterates, one result per row.
 
     Degenerate boundary optima (a coordinate decays like 1/k because its
-    multiplier vanishes) plateau far from machine precision.  Candidates:
-    the point itself, its support-face Newton polish, and polishes of
+    multiplier vanishes) plateau far from machine precision.  Candidates of
+    a row: the point itself, its support-face Newton polish, and polishes of
     snapped copies with near-zero coordinates pinned to the boundary.  The
-    best objective value wins, so this step can only sharpen the result.
+    best objective value wins, then the smallest (kkt residual, point), so
+    this step can only sharpen the result.  All candidates of all rows go
+    through one stacked polish.  Returns (values, kkt residuals, points).
     """
-    cands = [_describe(poly, x)]
-    cands.append(_describe(poly, _kkt_polish(poly, x)))
-    support_size = int((x > 1e-12).sum())
+    # Candidate c is a row of C = [X; polishes of X and of its snapped
+    # copies], and owner[c] is the row of X it belongs to.
+    S = X.shape[0]
+    support_size = (X > 1e-12).sum(axis=1)
+    owners, starts = [np.arange(S), np.arange(S)], [X]
     for threshold in (1e-2, 1e-3):
-        y = x.copy()
-        y[y < threshold] = 0.0
-        total = y.sum()
-        if total <= 0 or int((y > 0).sum()) == support_size:
-            continue
-        y /= total
-        cands.append(_describe(poly, _kkt_polish(poly, y)))
-    best_f = max(c[0] for c in cands)
-    viable = [c for c in cands if c[0] >= best_f - 1e-12]
-    return min(viable, key=lambda c: (c[1], tuple(c[3])))
+        Y = np.where(X < threshold, 0.0, X)
+        total = Y.sum(axis=1)
+        keep = (total > 0) & ((Y > 0).sum(axis=1) != support_size)
+        owners.append(np.nonzero(keep)[0])
+        starts.append(Y[keep] / total[keep, None])
+    owner = np.concatenate(owners)
+    C = np.vstack([X, _kkt_polish_rows(poly, np.vstack(starts))])
+    F, K, _ = _describe_rows(poly, C)
+    best = np.full(S, -np.inf)
+    np.maximum.at(best, owner, F)
+    order = np.lexsort((*C.T[::-1], K, owner))
+    order = order[F[order] >= best[owner[order]] - 1e-12]
+    win = order[np.unique(owner[order], return_index=True)[1]]
+    return F[win], K[win], C[win]
 
 
 # ---------------------------------------------------------------------------
@@ -481,7 +527,8 @@ def _maximize_arrays(poly: _Poly, cfg: OptimizerConfig):
 
     All starts advance in lockstep (vectorized rows).  Returns the winning
     row: (x, value, kkt_residual, converged, starts_used).  Ties in value
-    within 1e-12 go to the lexicographically smallest point.
+    within 1e-12 go to the smallest (kkt residual, point), the rule of the
+    finishing step.
     """
     m = poly.m
     value_of = lambda X: _value_rows(poly, X)
@@ -518,7 +565,7 @@ def _maximize_arrays(poly: _Poly, cfg: OptimizerConfig):
             # The noise slack keeps the line search alive once improvements
             # drop below float resolution; progress below the stall cutoff
             # only bumps the stall counter.
-            accept = FY >= F[todo] + 1e-4 * gd - noise
+            accept = FY >= F[todo] + ARMIJO_INCREASE * gd - noise
             take = accept & moved
             genuine[todo[take]] = FY[take] > F[todo][take] + 1e-9 * np.maximum(
                 1.0, np.abs(F[todo][take]))
@@ -541,19 +588,18 @@ def _maximize_arrays(poly: _Poly, cfg: OptimizerConfig):
 
     # Refine plateaued rows that could still contend for the maximum; rows
     # that plateaued at the same point share one refinement.
-    contenders = needs_finish & (F >= F.max() - 1e-6)
-    finished: dict[tuple, tuple[float, np.ndarray]] = {}
-    for row in np.nonzero(contenders)[0]:
-        key = tuple(np.round(X[row], 9))
-        if key not in finished:
-            f_row, _, _, x_row = _finish_row(poly, X[row])
-            finished[key] = (f_row, x_row)
-        F[row], X[row] = finished[key]
+    rows = np.nonzero(needs_finish & (F >= F.max() - 1e-6))[0]
+    if rows.size:
+        _, first, same = np.unique(np.round(X[rows], 9), axis=0,
+                                   return_index=True, return_inverse=True)
+        f_done, _, x_done = _finish_rows(poly, X[rows[first]])
+        F[rows], X[rows] = f_done[same], x_done[same]
 
-    vmax = F.max()
-    candidates = np.nonzero(F >= vmax - 1e-12)[0]
-    best = int(min(candidates, key=lambda s: tuple(X[s])))
-    f_best, kkt_best, mu_best, x_best = _describe(poly, X[best].copy())
+    top = np.nonzero(F >= F.max() - 1e-12)[0]
+    _, kkt_top, _ = _describe_rows(poly, X[top])
+    x_best = X[top[np.lexsort((*X[top].T[::-1], kkt_top))[0]]].copy()
+    # Described alone, so the value is eval_lagrange at the reported point.
+    f_best, kkt_best, mu_best = (float(v[0]) for v in _describe_rows(poly, x_best[None, :]))
     accept_tol = KKT_ACCEPT_FACTOR * cfg.tolerance * max(1.0, abs(mu_best))
     return x_best, f_best, kkt_best, bool(kkt_best <= accept_tol), S
 

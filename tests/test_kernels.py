@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 
 import patternlab as pl
 from patternlab.algebra import ReducedObjective, _reduced_polynomial, eval_phi
-from patternlab.lagrangian import (_grad_rows, _hessian, _integer_terms,
-                                   _polynomial, _value_rows)
+from patternlab.lagrangian import (_finish_rows, _grad_rows, _hessian_rows,
+                                   _integer_terms, _polynomial, _value_rows)
 
 
 @st.composite
@@ -67,12 +67,13 @@ def test_euler_identities_and_symmetric_hessian(case):
     P, x = case
     poly = _polynomial(P)
     w = np.array([float(v) for v in x])
-    p = _value_rows(poly, w[None, :])[0]
-    g = _grad_rows(poly, w[None, :])[0]
-    H = _hessian(poly, w)
-    assert w @ g == pytest.approx(P.r * p, abs=1e-12)
-    np.testing.assert_allclose(H @ w, (P.r - 1) * g, rtol=0, atol=1e-12)
-    np.testing.assert_allclose(H, H.T, rtol=0, atol=1e-12)
+    W = np.vstack([w, w[::-1], np.full(P.m, 1.0 / P.m)])
+    for w, H in zip(W, _hessian_rows(poly, W)):
+        p = _value_rows(poly, w[None, :])[0]
+        g = _grad_rows(poly, w[None, :])[0]
+        assert w @ g == pytest.approx(P.r * p, abs=1e-12)
+        np.testing.assert_allclose(H @ w, (P.r - 1) * g, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(H, H.T, rtol=0, atol=1e-12)
 
 
 @KERNEL_SETTINGS
@@ -86,3 +87,58 @@ def test_reduced_polynomial_matches_eval_phi(case, data):
     w /= w.sum()
     got = _value_rows(_reduced_polynomial(ro), w[None, :])[0]
     assert got == pytest.approx(eval_phi(ro, w), abs=1e-12)
+
+
+@st.composite
+def pattern_and_rows(draw):
+    """A pattern and a seeded stack of Dirichlet simplex points of its
+    dimension, some with coordinates pinned to zero."""
+    P = draw(patterns())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = rng.standard_exponential((draw(st.integers(1, 12)), P.m))
+    X[rng.random(X.shape) < 0.3] = 0.0
+    X[X.sum(axis=1) == 0, 0] = 1.0
+    return P, X / X.sum(axis=1, keepdims=True)
+
+
+@st.composite
+def large_patterns(draw):
+    """Patterns with 60 to 2380 edges, so that a block is 16 to 546 rows."""
+    r = draw(st.sampled_from([3, 4]))
+    m = draw(st.integers(8, 14) if r == 3 else st.integers(6, 14))
+    universe = list(itertools.combinations_with_replacement(range(1, m + 1), r))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    keep = rng.random(len(universe)) < draw(st.floats(0.5, 1.0))
+    return pl.Pattern(m, r, [e for e, k in zip(universe, keep) if k])
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(large_patterns(), st.integers(0, 2**32 - 1))
+def test_row_blocks_match_row_by_row(P, seed):
+    poly = _polynomial(P)
+    X = np.random.default_rng(seed).dirichlet(np.ones(P.m), size=poly.block + 3)
+    values = _value_rows(poly, X)
+    grads = _grad_rows(poly, X)
+    for x, v, g in zip(X, values, grads):
+        assert v == pytest.approx(_value_rows(poly, x[None, :])[0], abs=1e-14)
+        np.testing.assert_allclose(g, _grad_rows(poly, x[None, :])[0], rtol=0, atol=1e-14)
+
+
+def test_row_blocks_of_the_empty_pattern():
+    poly = _polynomial(pl.Pattern(3, 3, []))
+    X = np.full((poly.block + 3, 3), 1.0 / 3)
+    np.testing.assert_array_equal(_value_rows(poly, X), 0.0)
+    np.testing.assert_array_equal(_grad_rows(poly, X), 0.0)
+
+
+@KERNEL_SETTINGS
+@given(pattern_and_rows())
+def test_stacked_finish_never_loses_value(case):
+    P, X = case
+    poly = _polynomial(P)
+    values, _, points = _finish_rows(poly, X)
+    assert points.shape == X.shape
+    np.testing.assert_allclose(points.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+    assert (points >= 0).all()
+    assert (values >= _value_rows(poly, X) - 1e-12).all()
+    np.testing.assert_allclose(values, _value_rows(poly, points), rtol=0, atol=1e-14)

@@ -5,6 +5,7 @@ import pytest
 
 import patternlab as pl
 from patternlab import OptimizerConfig, Pattern, SimplexPoint
+from patternlab import lagrangian
 from patternlab.errors import CapExceeded
 from patternlab.lagrangian import eval_lagrange_unnormalized
 
@@ -225,6 +226,32 @@ def test_maximize_nonconvergence_is_flagged_not_silent(p112):
     cfg = OptimizerConfig(restarts=1, max_iterations=1, tolerance=1e-16)
     rep = pl.maximize(p112, cfg)
     assert rep.value <= 4 / 9 + 1e-9  # still a valid lower bound
+
+
+def test_value_ties_go_to_the_smallest_kkt_residual():
+    # The barycenter start is the exact optimum of offdiagonal(3,3); a row
+    # that ends within 1e-12 below it must not win on a smaller point.
+    P = pl.offdiagonal_pattern(3, 3)
+    rep = pl.maximize(P)
+    assert rep.value >= pl.eval_lagrange(P, SimplexPoint.uniform(3))
+    assert rep.kkt_residual == 0.0
+
+
+def test_offdiagonal_ascent_does_not_zigzag(monkeypatch):
+    # A full step at the stability edge of the symmetric optimum flips two
+    # coordinates every iteration; a weak Armijo test accepts it for
+    # thousands of gradient passes.
+    calls = []
+    grad_rows = lagrangian._grad_rows
+
+    def counted(poly, X):
+        calls.append(X.shape[0])
+        return grad_rows(poly, X)
+
+    monkeypatch.setattr(lagrangian, "_grad_rows", counted)
+    rep = pl.maximize(pl.offdiagonal_pattern(3, 3))
+    assert rep.converged
+    assert len(calls) <= 100
 
 
 # ---------------------------------------------------------------------------
