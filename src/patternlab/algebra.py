@@ -49,6 +49,8 @@ __all__ = [
     "union_lambda_suite",
 ]
 
+UNION_CAP = 2_000_000  # max edge images enumerated by union_on_set
+
 
 @dataclass(frozen=True)
 class UnionLabeling:
@@ -114,21 +116,22 @@ def _check_glue(m1: int, glue) -> tuple[int, ...]:
 
 
 def union_on_set(P1: Pattern, P2: Pattern, glue,
-                 *, full_replacement: bool = True) -> tuple[Pattern, UnionLabeling]:
+                 *, cap: int = UNION_CAP) -> tuple[Pattern, UnionLabeling]:
     """Glue a copy of P2 into every index of the glue set of P1.
 
     The result has m1 + |glue|*(m2 - 1) indices and does not depend on any
-    iteration order.  full_replacement=False switches to an exploratory
-    variant in which an edge using a glued index i with multiplicity s also
-    spawns partial refills (a < s block slots, the remaining s - a slots
-    parked on the first block index).  Every partial refill is itself an
-    s-multiset on the block, so the variant collapses to the same pattern;
-    it exists to demonstrate that the refill-count quantifier is immaterial
-    under any uniformity-preserving reading.
+    iteration order.  Raises CapExceeded before enumerating when the edge
+    images exceed cap: |glue|*|E2| inner images plus, per host edge, the
+    product of C(m2 + s - 1, s) over its glued indices of multiplicity s.
     """
     if P1.r != P2.r:
         raise ValueError(f"uniformity mismatch: r={P1.r} vs r={P2.r}")
     T = _check_glue(P1.m, glue)
+    images = len(T) * P2.edge_count + sum(
+        math.prod(math.comb(P2.m + s - 1, s) for j, s in e.counts().items() if j in T)
+        for e in P1.edges)
+    if images > cap:
+        raise CapExceeded(f"gluing enumerates {images} edge images, cap is {cap}")
 
     origin: list[tuple] = []
     block: dict[int, tuple[int, ...]] = {}
@@ -160,27 +163,16 @@ def union_on_set(P1: Pattern, P2: Pattern, glue,
         if not glued:
             edges.add(Multiset(fixed))
             continue
-        per_index_choices = []
-        for j, s in glued:
-            if full_replacement:
-                choices = list(iter_multisets(block[j], s))
-            else:
-                choices = [
-                    A + (block[j][0],) * (s - a)
-                    for a in range(1, s + 1)
-                    for A in iter_multisets(block[j], a)
-                ]
-            per_index_choices.append(choices)
+        per_index_choices = [list(iter_multisets(block[j], s)) for j, s in glued]
         for combo in itertools.product(*per_index_choices):
             edges.add(Multiset(fixed + [v for part in combo for v in part]))
 
     return Pattern(labeling.new_m, P1.r, edges), labeling
 
 
-def union_on_index(P1: Pattern, P2: Pattern, i: int,
-                   *, full_replacement: bool = True) -> tuple[Pattern, UnionLabeling]:
+def union_on_index(P1: Pattern, P2: Pattern, i: int) -> tuple[Pattern, UnionLabeling]:
     """Glue a copy of P2 into the single index i of P1."""
-    return union_on_set(P1, P2, (int(i),), full_replacement=full_replacement)
+    return union_on_set(P1, P2, (int(i),))
 
 
 # ---------------------------------------------------------------------------

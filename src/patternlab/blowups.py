@@ -112,14 +112,15 @@ def blowup(P: Pattern, sizes: Sequence[int], *,
     candidates = math.comb(n, P.r)
     if candidates > cap:
         raise CapExceeded(f"C({n}, {P.r}) = {candidates} r-sets, cap is {cap}")
-    edges: list[tuple[int, ...]] = []
-    for e in P.edges:
-        pools = [
+    # Streamed into Hypergraph, which sorts and checks each edge, so no list
+    # of raw edges is held beside its canonical set.
+    edges = (
+        tuple(itertools.chain.from_iterable(pick))
+        for e in P.edges
+        for pick in itertools.product(*(
             itertools.combinations(part.parts[i - 1], mult)
-            for i, mult in sorted(e.counts().items())
-        ]
-        for pick in itertools.product(*pools):
-            edges.append(tuple(sorted(itertools.chain.from_iterable(pick))))
+            for i, mult in sorted(e.counts().items())))
+    )
     return Hypergraph(n, P.r, edges), part
 
 

@@ -133,18 +133,17 @@ def test_union_full_glue_of_hypergraph_pattern():
     assert U.m == 2 * 3
 
 
-def test_partial_refill_variant_collapses(rng):
-    # every partial refill is an s-multiset on the block, so the variant
-    # yields the identical pattern: the refill-count quantifier is immaterial
-    for _ in range(20):
-        m1 = int(rng.integers(1, 4))
-        m2 = int(rng.integers(1, 4))
-        i = int(rng.integers(1, m1 + 1))
-        P1 = pl.random_pattern(rng, m1, 3)
-        P2 = pl.random_pattern(rng, m2, 3)
-        full, _ = pl.union_on_index(P1, P2, i, full_replacement=True)
-        partial, _ = pl.union_on_index(P1, P2, i, full_replacement=False)
-        assert full == partial
+def test_union_edge_product_cap():
+    # offdiagonal(3,3) (six edges <i,i,j> and <1,2,3>) glued on every index
+    # of itself: 3 * 7 inner images, C(4,2) * 3 = 18 refills of each <i,i,j>
+    # and 3^3 = 27 of <1,2,3>.
+    P = pl.offdiagonal_pattern(3, 3)
+    glue = (1, 2, 3)
+    images = 3 * 7 + 6 * 18 + 27
+    U, _ = pl.union_on_set(P, P, glue, cap=images)
+    assert U.edge_count == images
+    with pytest.raises(CapExceeded):
+        pl.union_on_set(P, P, glue, cap=images - 1)
 
 
 # ---------------------------------------------------------------------------

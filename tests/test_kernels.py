@@ -89,6 +89,26 @@ def test_reduced_polynomial_matches_eval_phi(case, data):
     assert got == pytest.approx(eval_phi(ro, w), abs=1e-12)
 
 
+@KERNEL_SETTINGS
+@given(pattern_and_point(), st.data())
+def test_simplex_upper_bound(case, data):
+    # Every pattern edge has ratio 1; a glued index's diagonal adds lambda2
+    # to its host diagonal coefficient, if any.
+    P, x = case
+    glue = data.draw(st.sets(st.integers(1, P.m), min_size=1))
+    lambda2 = float(data.draw(st.fractions(0, 1, max_denominator=50)))
+    ro = ReducedObjective(P, tuple(glue), lambda2)
+    poly = _reduced_polynomial(ro)
+    w = np.array([float(v) for v in x])
+    w /= w.sum()
+    assert _polynomial(P).bound == (1.0 if P.edges else 0.0)
+    diagonals = set(P.edges)
+    expected = max([_polynomial(P).bound] + [
+        lambda2 + (pl.Multiset([i] * P.r) in diagonals) for i in glue])
+    assert poly.bound == pytest.approx(expected, abs=1e-15)
+    assert _value_rows(poly, w[None, :])[0] <= poly.bound + 1e-12
+
+
 @st.composite
 def pattern_and_rows(draw):
     """A pattern and a seeded stack of Dirichlet simplex points of its

@@ -1,13 +1,16 @@
+import itertools
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import patternlab as pl
 from patternlab import OptimizerConfig, Pattern, SimplexPoint
 from patternlab import lagrangian
 from patternlab.errors import CapExceeded
-from patternlab.lagrangian import eval_lagrange_unnormalized
+from patternlab.lagrangian import _integer_terms, eval_lagrange_unnormalized
 
 from conftest import random_simplex, slow_lagrange
 
@@ -237,6 +240,28 @@ def test_value_ties_go_to_the_smallest_kkt_residual():
     assert rep.kkt_residual == 0.0
 
 
+def test_lockstep_stops_at_the_simplex_upper_bound(monkeypatch):
+    # A vertex start on a diagonal edge <i,i,i,i> has value 1.0, the upper
+    # bound of every pattern polynomial on the simplex.  Advancing the other
+    # 1000+ rows after iteration 0 cannot beat it; it took 250 gradient
+    # passes on this draw.
+    rng = np.random.default_rng(77)
+    pl.random_pattern(rng, 10, 4)
+    P = pl.random_pattern(rng, 10, 4)
+    calls = []
+    grad_rows = lagrangian._grad_rows
+
+    def counted(poly, X):
+        calls.append(X.shape[0])
+        return grad_rows(poly, X)
+
+    monkeypatch.setattr(lagrangian, "_grad_rows", counted)
+    rep = pl.maximize(P, OptimizerConfig(seed=3))
+    assert rep.value == 1.0
+    assert rep.converged
+    assert len(calls) <= 5
+
+
 def test_offdiagonal_ascent_does_not_zigzag(monkeypatch):
     # A full step at the stability edge of the symmetric optimum flips two
     # coordinates every iteration; a weak Armijo test accepts it for
@@ -305,6 +330,89 @@ def test_grid_oracle_cap_and_domain(p112):
 def test_grid_oracle_single_index():
     assert pl.grid_oracle(Pattern(1, 3, [[1, 1, 1]]), 4) == 1
     assert pl.grid_oracle(Pattern(1, 3, []), 4) == 0
+
+
+def _compositions(total, parts):
+    if parts == 1:
+        yield (total,)
+        return
+    for head in range(total + 1):
+        for rest in _compositions(total - head, parts - 1):
+            yield (head,) + rest
+
+
+def reference_grid_oracle(P, d):
+    """The nested pure-Python loop that grid_oracle replaced, kept as its
+    reference: every composition k of d, every edge, Python integers."""
+    best = 0
+    for k in _compositions(d, P.m):
+        total = 0
+        for mc, items in _integer_terms(P):
+            term = mc
+            for i, mult in items:
+                term *= k[i] ** mult
+            total += term
+        best = max(best, total)
+    return Fraction(best, d**P.r)
+
+
+@st.composite
+def grid_cases(draw):
+    m = draw(st.integers(1, 5))
+    r = draw(st.integers(2, 4))
+    universe = list(itertools.combinations_with_replacement(range(1, m + 1), r))
+    edges = draw(st.lists(st.sampled_from(universe), unique=True, max_size=len(universe)))
+    return Pattern(m, r, edges), draw(st.integers(1, 12))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(grid_cases())
+def test_grid_oracle_matches_reference_loop(case):
+    P, d = case
+    assert pl.grid_oracle(P, d) == reference_grid_oracle(P, d)
+
+
+def test_grid_oracle_chunk_boundaries():
+    # m = 2 has d + 1 grid points, so d = GRID_CHUNK - 1 fills one chunk and
+    # d = GRID_CHUNK spills the last point, (d, 0), into a second one.  The
+    # diagonal <1,1,1> attains its maximum only there.
+    top = Pattern(2, 3, [[1, 1, 1]])
+    for d in (lagrangian.GRID_CHUNK - 1, lagrangian.GRID_CHUNK):
+        for P in (top, Pattern(2, 3, [[1, 1, 2]]), Pattern(2, 4, [[1, 2, 2, 2], [1, 1, 1, 1]])):
+            assert pl.grid_oracle(P, d) == reference_grid_oracle(P, d)
+        assert pl.grid_oracle(top, d) == 1
+    chunks = list(lagrangian._grid_chunks(lagrangian.GRID_CHUNK, 2))
+    assert [len(K) for K in chunks] == [lagrangian.GRID_CHUNK, 1]
+    assert chunks[1].tolist() == [[lagrangian.GRID_CHUNK, 0]]
+
+
+def test_grid_oracle_object_dtype_path():
+    # 2000^6 >= 2^63, so the pass runs on Python integers.
+    P = pl.offdiagonal_pattern(2, 6)
+    assert 2000**P.r >= 2**63
+    assert pl.grid_oracle(P, 2000) == reference_grid_oracle(P, 2000)
+    # 21! > 2^63 while 1^21 is not: the coefficient alone forces object dtype.
+    wide = Pattern(21, 21, [list(range(1, 22))])
+    assert pl.grid_oracle(wide, 1) == reference_grid_oracle(wide, 1) == 0
+
+
+def test_grid_oracle_single_index_and_empty_match_reference():
+    for d in (1, 2, 7):
+        for P in (Pattern(1, 3, [[1, 1, 1]]), Pattern(1, 4, []), Pattern(3, 3, []),
+                  Pattern(4, 2, [])):
+            assert pl.grid_oracle(P, d) == reference_grid_oracle(P, d)
+    assert list(lagrangian._grid_chunks(5, 1))[0].tolist() == [[5]]
+
+
+def test_grid_oracle_checks_run_before_enumeration(monkeypatch, p112):
+    def unexpected(d, m):
+        raise AssertionError("enumerated past a failed check")
+
+    monkeypatch.setattr(lagrangian, "_grid_chunks", unexpected)
+    with pytest.raises(CapExceeded):
+        pl.grid_oracle(pl.complete_pattern(8, 3), 400, cap=10_000)
+    with pytest.raises(ValueError):
+        pl.grid_oracle(p112, 0)
 
 
 def test_optimizer_never_beaten_by_oracle(rng):
