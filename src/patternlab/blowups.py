@@ -11,6 +11,7 @@ actual hypergraphs.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -43,6 +44,7 @@ __all__ = [
 ]
 
 MATERIALIZE_CAP = 2_000_000  # max C(n, r) candidate r-sets for materialization
+SEQUENCE_CAP = 10_000  # max subpattern maximizations run by sequence_check
 
 
 @dataclass(frozen=True)
@@ -112,15 +114,32 @@ def blowup(P: Pattern, sizes: Sequence[int], *,
     candidates = math.comb(n, P.r)
     if candidates > cap:
         raise CapExceeded(f"C({n}, {P.r}) = {candidates} r-sets, cap is {cap}")
-    # Streamed into Hypergraph, which sorts and checks each edge, so no list
-    # of raw edges is held beside its canonical set.
-    edges = (
-        tuple(itertools.chain.from_iterable(pick))
-        for e in P.edges
-        for pick in itertools.product(*(
-            itertools.combinations(part.parts[i - 1], mult)
-            for i, mult in sorted(e.counts().items())))
-    )
+    # Classes are contiguous and each edge's classes are taken in index
+    # order, so every row comes out sorted and distinct pattern edges fill
+    # disjoint blocks; Hypergraph re-sorts and deduplicates regardless.
+    dtype = np.min_scalar_type(n)
+
+    @functools.cache
+    def picks(i: int, mult: int) -> np.ndarray:
+        """The mult-subsets of class i, one per row."""
+        return np.fromiter(itertools.chain.from_iterable(
+            itertools.combinations(part.parts[i - 1], mult)), dtype=dtype).reshape(-1, mult)
+
+    layouts = [[picks(i, mult) for i, mult in sorted(e.counts().items())] for e in P.edges]
+    edges = np.empty((sum(math.prod(map(len, layout)) for layout in layouts), P.r), dtype=dtype)
+    row = 0
+    for layout in layouts:
+        shape = tuple(map(len, layout))
+        count = math.prod(shape)
+        block = edges[row:row + count].reshape(*shape, P.r)
+        col = 0
+        for axis, pick in enumerate(layout):
+            lead = [1] * len(layout)
+            lead[axis] = len(pick)
+            width = pick.shape[1]
+            block[..., col:col + width] = pick.reshape(*lead, width)
+            col += width
+        row += count
     return Hypergraph(n, P.r, edges), part
 
 
@@ -365,7 +384,9 @@ def sequence_check(patterns: Sequence[Pattern], k: int, lambda0: float,
     Condition 3: every k-index subpattern's Lagrangian at most lambda0
     (checked exhaustively over all C(m_t, k) subsets, with slack for the
     optimizer's float hair).  eps must be supplied explicitly, either as a
-    per-term sequence or a single constant.
+    per-term sequence or a single constant.  Raises CapExceeded before the
+    first maximization when the subsets, sum over t of C(m_t, k), exceed
+    SEQUENCE_CAP.
     """
     cfg = cfg or OptimizerConfig()
     patterns = list(patterns)
@@ -381,6 +402,10 @@ def sequence_check(patterns: Sequence[Pattern], k: int, lambda0: float,
     for t, P in enumerate(patterns, start=1):
         if P.m < k:
             raise ValueError(f"term {t} has m={P.m} < k={k}")
+    subsets = sum(math.comb(P.m, k) for P in patterns)
+    if subsets > SEQUENCE_CAP:
+        raise CapExceeded(f"condition 3 needs {subsets} subpattern maximizations, "
+                          f"cap is {SEQUENCE_CAP}")
 
     per_t: list[PerTermCheck] = []
     values = []

@@ -29,7 +29,7 @@ from .algebra import (decomposition_suite, map_f, nonjump_catalog,
 from .blowups import blowup, construction_suite, density, sequence_check
 from .errors import CapExceeded, FormatError, PatternLabError
 from .lagrangian import OptimizerConfig, grid_oracle, maximize, minimality_suite
-from .patterns import (Hypergraph, hypergraph_to_json, load_any, load_pattern,
+from .patterns import (Hypergraph, _hypergraph_doc, load_any, load_pattern,
                        pattern_of_hypergraph, pattern_to_json, save_hypergraph,
                        save_pattern)
 
@@ -182,7 +182,7 @@ def _cmd_blowup(args) -> tuple[dict, int, list[str]]:
         "n": G.n,
         "r": G.r,
         "edges": G.edge_count,
-        "hypergraph": json.loads(hypergraph_to_json(G)),
+        "hypergraph": _hypergraph_doc(G),
     }
     if G.n >= G.r:
         result["density"] = density(G)

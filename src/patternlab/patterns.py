@@ -18,6 +18,8 @@ import warnings
 from collections import Counter
 from typing import Iterable, Iterator, Sequence
 
+import numpy as np
+
 from .errors import FormatError
 
 __all__ = [
@@ -131,7 +133,7 @@ class Pattern:
         if r < 2:
             raise ValueError(f"r must be >= 2, got {r}")
         raw = [e if isinstance(e, Multiset) else Multiset(e) for e in edges]
-        canon = sorted(set(raw))
+        canon = sorted(set(raw), key=lambda e: e.expansion)
         if len(canon) < len(raw):
             warnings.warn("duplicate multisets in edge list were deduplicated", stacklevel=2)
         for e in canon:
@@ -170,28 +172,30 @@ class Pattern:
 
 
 class Hypergraph:
-    """An r-uniform hypergraph on vertex set {1..n}; edges are r-sets."""
+    """An r-uniform hypergraph on vertex set {1..n}; edges are r-sets.
+
+    ``edges`` may be any iterable of vertex iterables, each vertex read
+    through ``int``, or an integer ndarray of shape (N, r), which is copied
+    and never modified.  Stored edges are sorted tuples of Python ints,
+    deduplicated and in lexicographic order.
+    """
 
     __slots__ = ("n", "r", "edges")
 
-    def __init__(self, n: int, r: int, edges: Iterable[Iterable[int]] = ()):
+    def __init__(self, n: int, r: int,
+                 edges: Iterable[Iterable[int]] | np.ndarray = ()):
         n = int(n)
         r = int(r)
         if n < 1:
             raise ValueError(f"n must be >= 1, got {n}")
         if r < 2:
             raise ValueError(f"r must be >= 2, got {r}")
-        canon = set()
-        for e in edges:
-            tup = tuple(sorted(int(v) for v in e))
-            if len(tup) != r or len(set(tup)) != r:
-                raise ValueError(f"edge {list(e)} is not a set of {r} distinct vertices")
-            if tup[0] < 1 or tup[-1] > n:
-                raise ValueError(f"edge {list(tup)} leaves the vertex range [1, {n}]")
-            canon.add(tup)
+        rows = _canonical_edge_array(n, r, edges)
         self.n = n
         self.r = r
-        self.edges = tuple(sorted(canon))
+        self.edges = tuple(itertools.chain.from_iterable(
+            zip(*rows[i:i + _EDGE_CHUNK].T.tolist())
+            for i in range(0, len(rows), _EDGE_CHUNK)))
 
     @property
     def edge_count(self) -> int:
@@ -210,6 +214,74 @@ class Hypergraph:
 
     def __repr__(self) -> str:
         return f"Hypergraph(n={self.n}, r={self.r}, edges={self.edge_count})"
+
+
+_EDGE_CHUNK = 4096  # rows turned into tuples at a time, so no list of lists is held in full
+
+
+def _edge_rows(edges, r: int):
+    """Read edges into an (N, r) integer array, in input order.
+
+    Reading stops at the first edge that cannot be read as r integers: one
+    whose length is not r, a vertex that ``int`` rejects, or an error from
+    the iterable itself.  That error is returned beside the rows before it
+    (None when every edge was read), so the caller can still report an
+    earlier offending edge first.
+    """
+    if isinstance(edges, np.ndarray) and edges.ndim == 2 and edges.dtype.kind in "iu":
+        if edges.shape[1] == r or len(edges) == 0:
+            return edges.reshape(-1, r), None
+        return np.empty((0, r), dtype=edges.dtype), _not_a_set(list(edges[0]), r)
+    flat: list[int] = []
+    stop = None
+    try:
+        for e in edges:
+            row = [int(v) for v in e]
+            if len(row) != r:
+                raise _not_a_set(row, r)
+            flat.extend(row)
+    except Exception as exc:
+        stop = exc
+    try:
+        rows = np.array(flat, dtype=np.int64)
+    except OverflowError:  # a vertex past int64; the range check rejects it
+        rows = np.array(flat, dtype=object)
+    return rows.reshape(-1, r), stop
+
+
+def _not_a_set(edge: list, r: int) -> ValueError:
+    return ValueError(f"edge {edge} is not a set of {r} distinct vertices")
+
+
+def _canonical_edge_array(n: int, r: int, edges) -> np.ndarray:
+    """Check edges and return them row-sorted, deduplicated and in lexicographic
+    order, in the narrowest unsigned dtype that holds n.
+
+    The first offending edge in input order raises ValueError: one with a
+    repeated vertex or a length other than r, or one leaving [1, n].  An edge
+    that cannot be read raises its reading error at its place in that order.
+    The message shows the edge's vertices as read through ``int`` (an ndarray
+    row as given).  The checks run in the input's dtype, so a negative vertex
+    cannot wrap.
+    """
+    rows, stop = _edge_rows(edges, r)
+    ordered = np.sort(rows, axis=1)
+    repeated = (np.diff(ordered, axis=1) == 0).any(axis=1)
+    outside = (ordered[:, 0] < 1) | (ordered[:, -1] > n)
+    bad = np.flatnonzero(repeated | outside)
+    if bad.size:
+        k = int(bad[0])
+        if repeated[k]:
+            raw = list(edges[k]) if isinstance(edges, np.ndarray) else rows[k].tolist()
+            raise _not_a_set(raw, r)
+        raise ValueError(f"edge {ordered[k].tolist()} leaves the vertex range [1, {n}]")
+    if stop is not None:
+        raise stop
+    ordered = ordered.astype(np.min_scalar_type(n), copy=False)
+    ordered = ordered[np.lexsort(ordered.T[::-1])]
+    fresh = np.ones(len(ordered), dtype=bool)
+    fresh[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    return ordered[fresh]
 
 
 # ---------------------------------------------------------------------------
@@ -386,9 +458,13 @@ def pattern_from_json(text: str) -> Pattern:
     return Pattern(doc["m"], doc["r"], doc["edges"])
 
 
+def _hypergraph_doc(G: Hypergraph) -> dict:
+    """The JSON document of a hypergraph file, as a dict."""
+    return {"r": G.r, "n": G.n, "edges": [list(e) for e in G.edges]}
+
+
 def hypergraph_to_json(G: Hypergraph, *, pretty: bool = False) -> str:
-    doc = {"r": G.r, "n": G.n, "edges": [list(e) for e in G.edges]}
-    return _dumps(doc, pretty)
+    return _dumps(_hypergraph_doc(G), pretty)
 
 
 def hypergraph_from_json(text: str) -> Hypergraph:

@@ -2,9 +2,12 @@ import itertools
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import patternlab as pl
-from patternlab import Multiset, OptimizerConfig, Partition, Pattern
+from patternlab import Multiset, OptimizerConfig, Partition, Pattern, blowups
+from patternlab.blowups import MATERIALIZE_CAP
 from patternlab.errors import CapExceeded
 
 
@@ -120,6 +123,50 @@ def test_blowup_edge_count_closed_form(rng, pb):
             if a + b >= 1:
                 G, _ = pl.blowup(pb, (a, b))
                 assert G.edge_count == want
+
+
+def reference_blowup_edges(P, sizes):
+    """The itertools.product construction blowup once ran, kept as the oracle."""
+    part = Partition.from_sizes(sizes)
+    return tuple(sorted({
+        tuple(sorted(itertools.chain.from_iterable(pick)))
+        for e in P.edges
+        for pick in itertools.product(*(
+            itertools.combinations(part.parts[i - 1], mult)
+            for i, mult in sorted(e.counts().items())))
+    }))
+
+
+@st.composite
+def blowup_inputs(draw):
+    """Random patterns (diagonal edges allowed) with class sizes, some zero;
+    r = 2 cases may take n >= 256, where vertices no longer fit in uint8."""
+    r = draw(st.integers(2, 4))
+    m = draw(st.integers(1, 4))
+    universe = list(itertools.combinations_with_replacement(range(1, m + 1), r))
+    edges = draw(st.lists(st.sampled_from(universe), unique=True))
+    top = 150 if r == 2 and draw(st.booleans()) else 6
+    sizes = draw(st.lists(st.integers(0, top), min_size=m, max_size=m)
+                 .filter(lambda s: sum(s) >= 1 and math.comb(sum(s), r) <= MATERIALIZE_CAP))
+    return Pattern(m, r, edges), sizes
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(blowup_inputs())
+def test_blowup_matches_product_reference(case):
+    P, sizes = case
+    G, part = pl.blowup(P, sizes)
+    assert (G.n, G.r) == (sum(sizes), P.r)
+    assert G.edges == reference_blowup_edges(P, sizes)
+    assert G.edge_count == pl.blowup_edge_count(P, sizes)
+
+
+def test_blowup_past_uint8_vertices():
+    P = Pattern(3, 2, [[1, 1], [1, 3], [2, 2], [2, 3]])
+    sizes = (0, 140, 160)
+    G, _ = pl.blowup(P, sizes)
+    assert G.n == 300 and G.edges[-1] == (140, 300)
+    assert G.edges == reference_blowup_edges(P, sizes)
 
 
 def test_blowup_cap(p112):
@@ -319,3 +366,22 @@ def test_sequence_worst_subset_is_exhaustive(pb):
     # every 2-subset of a plain-triple pattern is edgeless, value 0
     assert per.worst_subset_value == pytest.approx(0.0, abs=1e-12)
     assert len(per.worst_subset) == 2
+
+
+def test_sequence_cap_checked_before_maximizing(monkeypatch):
+    patterns = [pl.complete_pattern(4, 3), pl.offdiagonal_pattern(3, 3)]
+    subsets = math.comb(4, 2) + math.comb(3, 2)
+
+    class Reached(Exception):
+        pass
+
+    def reached(*args, **kwargs):
+        raise Reached
+
+    monkeypatch.setattr(blowups, "maximize", reached)
+    monkeypatch.setattr(blowups, "SEQUENCE_CAP", subsets - 1)
+    with pytest.raises(CapExceeded):
+        pl.sequence_check(patterns, 2, 0.5, 0.01)
+    monkeypatch.setattr(blowups, "SEQUENCE_CAP", subsets)
+    with pytest.raises(Reached):
+        pl.sequence_check(patterns, 2, 0.5, 0.01)

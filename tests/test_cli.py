@@ -178,6 +178,7 @@ def test_blowup_and_density(capsys, tmp_path):
     assert code == 0
     assert doc["result"]["edges"] == 2
     assert doc["result"]["density"] == pytest.approx(0.5)
+    assert doc["result"]["hypergraph"] == json.loads(out.read_text())
     code, doc = run_cli(capsys, "density", str(out))
     assert code == 0
     assert doc["result"]["value"] == "1/2"

@@ -1,6 +1,9 @@
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import patternlab as pl
 from patternlab import Hypergraph, Multiset, Pattern
@@ -199,7 +202,122 @@ def test_hypergraph_invariants():
     with pytest.raises(ValueError):
         Hypergraph(3, 3, [[1, 2, 4]])  # out of range
     with pytest.raises(ValueError):
+        Hypergraph(3, 3, [[1, 2, 2**64]])  # out of range and past int64
+    with pytest.raises(ValueError):
         Hypergraph(3, 3, [[1, 2]])  # wrong size
+
+
+def reference_hypergraph_edges(n, r, edges):
+    """The per-edge set-and-sort loop Hypergraph once ran, kept as the oracle."""
+    canon = set()
+    for e in edges:
+        tup = tuple(sorted(int(v) for v in e))
+        if len(tup) != r or len(set(tup)) != r:
+            raise ValueError(f"edge {list(e)} is not a set of {r} distinct vertices")
+        if tup[0] < 1 or tup[-1] > n:
+            raise ValueError(f"edge {list(tup)} leaves the vertex range [1, {n}]")
+        canon.add(tup)
+    return tuple(sorted(canon))
+
+
+INT_DTYPES = (np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.uint32, np.uint64)
+
+
+def _edge_forms(edges, r, n):
+    """The same edges as a list, tuples, generators and integer ndarrays."""
+    yield [list(e) for e in edges]
+    yield tuple(tuple(e) for e in edges)
+    yield ((v for v in e) for e in edges)
+    for dtype in INT_DTYPES:
+        if np.iinfo(dtype).max >= n:
+            yield np.array(edges, dtype=dtype).reshape(-1, r)
+    yield np.asfortranarray(np.array(edges, dtype=np.int64).reshape(-1, r))
+
+
+@st.composite
+def hypergraph_inputs(draw):
+    r = draw(st.integers(2, 5))
+    n = draw(st.integers(r, 300))
+    edge = st.lists(st.integers(1, n), min_size=r, max_size=r, unique=True)
+    edges = draw(st.lists(edge, max_size=30))
+    if edges:
+        repeats = draw(st.lists(st.sampled_from(edges), max_size=10))
+        edges += [draw(st.permutations(e)) for e in repeats]
+        edges = draw(st.permutations(edges))
+    return n, r, edges
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(hypergraph_inputs())
+def test_hypergraph_edges_match_reference(case):
+    n, r, edges = case
+    want = reference_hypergraph_edges(n, r, edges)
+    for form in _edge_forms(edges, r, n):
+        got = Hypergraph(n, r, form).edges
+        assert got == want
+        assert all(type(v) is int for e in got for v in e)
+
+
+def test_hypergraph_does_not_mutate_input_array():
+    edges = np.array([[3, 1, 2], [2, 3, 1], [4, 2, 1]], dtype=np.int32)
+    before = edges.copy()
+    G = Hypergraph(4, 3, edges)
+    assert G.edges == ((1, 2, 3), (1, 2, 4))
+    assert np.array_equal(edges, before) and edges.dtype == np.int32
+
+
+def test_hypergraph_accepts_no_edges():
+    for form in ([], (), iter(()), np.empty((0, 3), dtype=np.int64)):
+        assert Hypergraph(4, 3, form).edges == ()
+
+
+@pytest.mark.parametrize("n, r, edges", [
+    (4, 3, [[1, 2, 3], [2, 2, 1], [1, 2, 5]]),  # repeated vertex before out of range
+    (4, 3, [[1, 2, 3], [3, 5, 1], [1, 1, 2]]),  # n + 1 before a repeated vertex
+    (4, 3, [[2, 0, 1]]),  # vertex 0
+    (4, 3, [[4, 2, 3], [3, -1, 2]]),  # negative vertex
+    (255, 3, [[2, 3, -1]]),  # negative vertex that would wrap to 255 in uint8
+    (4, 3, [[1, 2, 3], [1, 2]]),  # too short
+    (4, 3, [[1, 2], [1, 3]]),  # every edge too short: an array of the wrong width
+    (4, 3, [[1, 2, 3, 4], [1, 1, 2]]),  # too long, before a repeated vertex
+    (4, 3, [[1, 1, 2], [1, 2]]),  # repeated vertex before a short edge
+    (4, 3, [[1, 2, 5], [1, 2, 3, 4]]),  # out of range before a long edge
+])
+def test_hypergraph_errors_match_reference(n, r, edges):
+    with pytest.raises(ValueError) as want:
+        reference_hypergraph_edges(n, r, edges)
+    forms = [edges, tuple(tuple(e) for e in edges)]
+    if len({len(e) for e in edges}) == 1:
+        forms += [np.array(edges, dtype=dtype) for dtype in (np.int8, np.int16, np.int64)]
+    for form in forms:
+        if isinstance(form, np.ndarray):
+            with pytest.raises(ValueError) as want:
+                reference_hypergraph_edges(n, r, form)
+        with pytest.raises(ValueError) as got:
+            Hypergraph(n, r, form)
+        assert str(got.value) == str(want.value)
+
+
+def _bad_then_failing_iterable():
+    yield [1, 1, 2]
+    raise RuntimeError("the iterable itself fails")
+
+
+@pytest.mark.parametrize("edges", [
+    [[1, 1, 2], [None, 2, 3]],  # repeated vertex before a vertex int rejects
+    [[1, 2, 3], [2, 3, 4], ["x", 1, 2], [1, 1, 2]],  # a vertex int rejects comes first
+    [[1, 2, 5], (1, None)],  # out of range before a short edge with a bad vertex
+    _bad_then_failing_iterable,  # repeated vertex before the iterable raises
+])
+def test_hypergraph_read_errors_keep_input_order(edges):
+    def fresh():
+        return edges() if callable(edges) else edges
+    with pytest.raises(Exception) as want:
+        reference_hypergraph_edges(4, 3, fresh())
+    with pytest.raises(Exception) as got:
+        Hypergraph(4, 3, fresh())
+    assert type(got.value) is type(want.value)
+    assert str(got.value) == str(want.value)
 
 
 # ---------------------------------------------------------------------------
