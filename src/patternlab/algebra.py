@@ -26,9 +26,9 @@ import numpy as np
 
 from .errors import CapExceeded
 from .lagrangian import (OptimizerConfig, OptimizerReport, _as_weights,
-                         _maximize_poly, _Poly, _polynomial, eval_lagrange,
-                         eval_lagrange_unnormalized, maximize)
-from .patterns import (Multiset, Pattern, iter_multisets, random_pattern,
+                         _maximize_poly, _multinomials, _Poly, _polynomial,
+                         eval_lagrange, eval_lagrange_unnormalized, maximize)
+from .patterns import (Pattern, _substitute, iter_multisets, random_pattern,
                        relabel_pattern)
 
 __all__ = [
@@ -147,27 +147,16 @@ def union_on_set(P1: Pattern, P2: Pattern, glue,
     labeling = UnionLabeling(P1.m, P2.m, T, tuple(origin))
     assert labeling.new_m == P1.m + len(T) * (P2.m - 1)
 
-    edges: set[Multiset] = set()
-    for i in T:
-        for e in P2.edges:
-            edges.add(Multiset(block[i][a - 1] for a in e.expansion))
-    for e in P1.edges:
-        counts = e.counts()
-        fixed: list[int] = []
-        glued: list[tuple[int, int]] = []
-        for j, mult in counts.items():
-            if j in T:
-                glued.append((j, mult))
-            else:
-                fixed.extend([base_image[j]] * mult)
-        if not glued:
-            edges.add(Multiset(fixed))
-            continue
-        per_index_choices = [list(iter_multisets(block[j], s)) for j, s in glued]
-        for combo in itertools.product(*per_index_choices):
-            edges.add(Multiset(fixed + [v for part in combo for v in part]))
-
-    return Pattern(labeling.new_m, P1.r, edges), labeling
+    # Inner images are P2's slot table moved onto each block.  A host
+    # diagonal <j, ..., j> on a glued j refills every r-multiset on block j,
+    # so the inner images of that block are already among its refills.
+    diagonals = {e.expansion[0] for e in P1.edges if len(e.support) == 1}
+    inner = _polynomial(P2).slots.T
+    refill = lambda j, s: (itertools.combinations_with_replacement(block[j], s)
+                           if j in block else [(base_image[j],) * s])
+    edges = np.concatenate([inner + block[j][0] for j in T if j not in diagonals]
+                           + [_substitute(P1, refill, np.min_scalar_type(labeling.new_m))])
+    return Pattern(labeling.new_m, P1.r, zip(*edges.T.tolist())), labeling
 
 
 def union_on_index(P1: Pattern, P2: Pattern, i: int) -> tuple[Pattern, UnionLabeling]:
@@ -212,12 +201,9 @@ def multiset_power_gap(y, s: int) -> float:
     if s < 1:
         raise ValueError("s must be >= 1")
     total = 0.0
-    s_fact = math.factorial(s)
-    for A in iter_multisets(range(len(w)), s):
-        denom = 1
-        for _, mult in itertools.groupby(A):
-            denom *= math.factorial(len(list(mult)))
-        term = s_fact / denom
+    multisets = list(iter_multisets(range(len(w)), s))
+    for A, coef in zip(multisets, _multinomials(np.array(multisets).reshape(-1, s).T)):
+        term = float(coef)
         for i in A:
             term *= w[i]
         total += term

@@ -11,7 +11,6 @@ actual hypergraphs.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -22,8 +21,8 @@ import numpy as np
 from .errors import CapExceeded
 from .lagrangian import (OptimizerConfig, eval_lagrange, lagrangian_of_hypergraph,
                          maximize, _as_weights)
-from .patterns import (Hypergraph, Multiset, Pattern, induced_subpattern,
-                       random_pattern)
+from .patterns import (Hypergraph, Multiset, Pattern, _substitute,
+                       induced_subpattern, random_pattern)
 
 __all__ = [
     "Partition",
@@ -117,29 +116,8 @@ def blowup(P: Pattern, sizes: Sequence[int], *,
     # Classes are contiguous and each edge's classes are taken in index
     # order, so every row comes out sorted and distinct pattern edges fill
     # disjoint blocks; Hypergraph re-sorts and deduplicates regardless.
-    dtype = np.min_scalar_type(n)
-
-    @functools.cache
-    def picks(i: int, mult: int) -> np.ndarray:
-        """The mult-subsets of class i, one per row."""
-        return np.fromiter(itertools.chain.from_iterable(
-            itertools.combinations(part.parts[i - 1], mult)), dtype=dtype).reshape(-1, mult)
-
-    layouts = [[picks(i, mult) for i, mult in sorted(e.counts().items())] for e in P.edges]
-    edges = np.empty((sum(math.prod(map(len, layout)) for layout in layouts), P.r), dtype=dtype)
-    row = 0
-    for layout in layouts:
-        shape = tuple(map(len, layout))
-        count = math.prod(shape)
-        block = edges[row:row + count].reshape(*shape, P.r)
-        col = 0
-        for axis, pick in enumerate(layout):
-            lead = [1] * len(layout)
-            lead[axis] = len(pick)
-            width = pick.shape[1]
-            block[..., col:col + width] = pick.reshape(*lead, width)
-            col += width
-        row += count
+    edges = _substitute(P, lambda i, s: itertools.combinations(part.parts[i - 1], s),
+                        np.min_scalar_type(n))
     return Hypergraph(n, P.r, edges), part
 
 

@@ -86,13 +86,13 @@ def _config_of(args: argparse.Namespace) -> OptimizerConfig:
                            tolerance=args.tol, seed=args.seed)
 
 
-def _parse_glue(args, m: int) -> tuple[int, ...]:
-    if getattr(args, "glue", None) is not None:
-        return (args.glue,)
-    spec = args.glue_set
+def _parse_glue(single: int | None, spec: str, m: int) -> tuple[int, ...]:
+    """A glue set from a single index, or from 'all' or comma-separated indices."""
+    if single is not None:
+        return (single,)
     if spec == "all":
         return tuple(range(1, m + 1))
-    return tuple(int(v) for v in spec.split(","))
+    return tuple(_csv_ints(spec))
 
 
 def _csv_ints(text: str) -> list[int]:
@@ -133,13 +133,7 @@ def _cmd_lambda(args) -> tuple[dict, int, list[str]]:
 def _cmd_union(args) -> tuple[dict, int, list[str]]:
     P1 = load_pattern(args.file1)
     P2 = load_pattern(args.file2)
-    if args.on is not None:
-        glue: tuple[int, ...] = (args.on,)
-    elif args.on_set == "all":
-        glue = tuple(range(1, P1.m + 1))
-    else:
-        glue = tuple(_csv_ints(args.on_set))
-    U, lab = union_on_set(P1, P2, glue)
+    U, lab = union_on_set(P1, P2, _parse_glue(args.on, args.on_set, P1.m))
     result = {
         "glue": list(lab.glue),
         "m": U.m,
@@ -161,7 +155,7 @@ def _cmd_union(args) -> tuple[dict, int, list[str]]:
 
 def _cmd_mapf(args) -> tuple[dict, int, list[str]]:
     P = load_pattern(args.pattern)
-    glue = _parse_glue(args, P.m)
+    glue = _parse_glue(args.glue, args.glue_set, P.m)
     cfg = _config_of(args)
     rep = map_f(P, glue, args.lambda2, cfg)
     result = {

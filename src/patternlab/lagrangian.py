@@ -231,14 +231,7 @@ class _Poly:
                                          return_inverse=True)
             summed = np.bincount(which.reshape(-1), self.coef,
                                  minlength=monomials.shape[1])
-            # prod(mult!) of a sorted column: the product over its slots of
-            # the length of the run of equal indices ending there.
-            run = np.ones(monomials.shape[1])
-            mult_fact = np.ones(monomials.shape[1])
-            for j in range(1, self.r):
-                run = np.where(monomials[j] == monomials[j - 1], run + 1.0, 1.0)
-                mult_fact *= run
-            ratio = summed / (math.factorial(self.r) / mult_fact)
+            ratio = summed / _multinomials(monomials).astype(float)
             self._bound = float(ratio.max(initial=0.0))
         return self._bound
 
@@ -250,35 +243,28 @@ class _Poly:
         return _Poly(slots, coef, self.m)
 
 
+def _multinomials(columns: np.ndarray) -> np.ndarray:
+    """r!/prod(mult!) of each sorted column of an r x E index table, as exact
+    Python integers (object dtype).
+
+    prod(mult!) of a sorted column is the product over its slots of the
+    length of the run of equal indices ending there.
+    """
+    run = np.ones(columns.shape[1], dtype=np.int64)
+    mult_fact = np.ones(columns.shape[1], dtype=object)
+    for j in range(1, columns.shape[0]):
+        run = np.where(columns[j] == columns[j - 1], run + 1, 1)
+        mult_fact *= run
+    return math.factorial(columns.shape[0]) // mult_fact
+
+
 @lru_cache(maxsize=8192)
 def _polynomial(P: Pattern) -> _Poly:
     """Slot table and float coefficients r!/prod(mult!) of P's density
     polynomial."""
-    slots = np.empty((P.r, len(P.edges)), dtype=np.intp)
-    coef = np.empty(len(P.edges), dtype=float)
-    r_fact = math.factorial(P.r)
-    for col, e in enumerate(P.edges):
-        slots[:, col] = e.expansion
-        denom = 1
-        for mult in e.counts().values():
-            denom *= math.factorial(mult)
-        coef[col] = r_fact / denom
-    return _Poly(slots - 1, coef, P.m)
-
-
-@lru_cache(maxsize=8192)
-def _integer_terms(P: Pattern) -> tuple[tuple[int, tuple[tuple[int, int], ...]], ...]:
-    """Per edge: the integer multinomial coefficient r!/prod(mult!) and the
-    (0-based index, multiplicity) pairs.  Used by the exact grid oracle."""
-    r_fact = math.factorial(P.r)
-    terms = []
-    for e in P.edges:
-        items = tuple((i - 1, mult) for i, mult in sorted(e.counts().items()))
-        denom = 1
-        for _, mult in items:
-            denom *= math.factorial(mult)
-        terms.append((r_fact // denom, items))
-    return tuple(terms)
+    edges = np.array([e.expansion for e in P.edges], dtype=np.intp).reshape(-1, P.r)
+    slots = np.ascontiguousarray(edges.T - 1)
+    return _Poly(slots, _multinomials(slots).astype(float), P.m)
 
 
 def _as_weights(m: int, x) -> np.ndarray:
@@ -703,10 +689,12 @@ def grid_oracle(P: Pattern, d: int, *, cap: int = 1_000_000) -> Fraction:
 
     At k the scaled value d^r * lam(k/d) is sum_e mc_e * prod_i k_i^mult_i,
     whose terms are distinct terms of the multinomial expansion of
-    (k_1 + ... + k_m)^r = d^r.  Forming each product before its coefficient
-    keeps every intermediate at most d^r, so int64 is exact when d^r and
-    every coefficient are below 2^63; beyond that the same pass runs on
-    Python integers (object dtype).
+    (k_1 + ... + k_m)^r = d^r.  Each chunk goes through the value kernel on
+    the slot table with integer coefficients; its slot products form each
+    monomial before the coefficient is applied, which keeps every
+    intermediate at most d^r, so int64 is exact when d^r and every
+    coefficient are below 2^63; beyond that the same pass runs on Python
+    integers (object dtype).
     """
     d = int(d)
     if d < 1:
@@ -715,18 +703,15 @@ def grid_oracle(P: Pattern, d: int, *, cap: int = 1_000_000) -> Fraction:
     if points > cap:
         raise CapExceeded(f"grid has {points} points, cap is {cap}")
     scale = d**P.r
-    terms = _integer_terms(P)
+    slots = _polynomial(P).slots
+    coef = _multinomials(slots)
     # A coefficient can pass 2^63 when d^r does not (d = 1 and an edge of 21
     # distinct indices), though its products are then all 0.
-    largest = max([scale] + [mc for mc, _ in terms])
-    dtype = np.int64 if largest < 2**63 else object
+    dtype = np.int64 if max([scale, *coef]) < 2**63 else object
+    exact = _Poly(slots, coef.astype(dtype), P.m)
     best = 0
     for K in _grid_chunks(d, P.m):
-        K = K.astype(dtype, copy=False)
-        total = np.zeros(K.shape[0], dtype=dtype)
-        for mc, items in terms:
-            total += mc * math.prod(K[:, i] ** mult for i, mult in items)
-        best = max(best, int(total.max()))
+        best = max(best, int(_value_rows(exact, K.astype(dtype, copy=False)).max()))
     return Fraction(best, scale)
 
 

@@ -12,8 +12,10 @@ All types here are immutable after construction and safe to share.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
+import math
 import warnings
 from collections import Counter
 from typing import Iterable, Iterator, Sequence
@@ -334,6 +336,40 @@ def relabel_pattern(P: Pattern, permutation: Sequence[int]) -> Pattern:
 def pattern_of_hypergraph(G: Hypergraph) -> Pattern:
     """View a hypergraph as a pattern: every edge becomes a multiplicity-1 multiset."""
     return Pattern(G.n, G.r, (Multiset(e) for e in G.edges))
+
+
+def _substitute(P: Pattern, picks, dtype) -> np.ndarray:
+    """Replace the indices of every edge of P by families of multisets.
+
+    An edge using index i with multiplicity s becomes every way of taking
+    one s-tuple of picks(i, s) per index, concatenated in index order, so
+    it contributes the product of the family sizes as rows of the returned
+    (rows, r) array.  Each edge fills its own block of rows: the families
+    are broadcast into an (a_1, ..., a_t, r) view of the block.  Both
+    blowups (r-sets of vertex classes) and gluing (multisets on blocks) are
+    this substitution.
+    """
+    @functools.cache
+    def family(i: int, s: int) -> np.ndarray:
+        return np.fromiter(itertools.chain.from_iterable(picks(i, s)),
+                           dtype=dtype).reshape(-1, s)
+
+    layouts = [[family(i, s) for i, s in sorted(e.counts().items())] for e in P.edges]
+    rows = np.empty((sum(math.prod(map(len, layout)) for layout in layouts), P.r), dtype=dtype)
+    row = 0
+    for layout in layouts:
+        shape = tuple(map(len, layout))
+        count = math.prod(shape)
+        block = rows[row:row + count].reshape(*shape, P.r)
+        col = 0
+        for axis, pick in enumerate(layout):
+            lead = [1] * len(layout)
+            lead[axis] = len(pick)
+            width = pick.shape[1]
+            block[..., col:col + width] = pick.reshape(*lead, width)
+            col += width
+        row += count
+    return rows
 
 
 # ---------------------------------------------------------------------------

@@ -55,6 +55,17 @@ def slow_lagrange(P, x):
     return total
 
 
+def integer_terms(P):
+    """Per edge: the exact coefficient r!/prod(mult!) and the (0-based index,
+    multiplicity) pairs, from Multiset.counts() alone."""
+    terms = []
+    for e in P.edges:
+        counts = sorted(e.counts().items())
+        coef = math.factorial(P.r) // math.prod(math.factorial(k) for _, k in counts)
+        terms.append((coef, [(i - 1, k) for i, k in counts]))
+    return terms
+
+
 def random_simplex(rng, m):
     w = rng.standard_exponential(m)
     return w / w.sum()

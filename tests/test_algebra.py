@@ -1,11 +1,15 @@
+import itertools
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import patternlab as pl
-from patternlab import OptimizerConfig, Pattern, ReducedObjective
+from patternlab import Multiset, OptimizerConfig, Pattern, ReducedObjective, UnionLabeling
 from patternlab.errors import CapExceeded
 from patternlab.lagrangian import eval_lagrange_unnormalized
 
@@ -144,6 +148,84 @@ def test_union_edge_product_cap():
     assert U.edge_count == images
     with pytest.raises(CapExceeded):
         pl.union_on_set(P, P, glue, cap=images - 1)
+
+
+def reference_union_on_set(P1, P2, glue):
+    """The set-of-Multiset gluing that union_on_set replaced, kept as its
+    reference: every host edge's glued slots refilled by itertools.product
+    over the block multisets, and a set to absorb collisions."""
+    T = tuple(sorted(set(glue)))
+    origin, block, base_image = [], {}, {}
+    for j in range(1, P1.m + 1):
+        if j in T:
+            start = len(origin) + 1
+            block[j] = tuple(range(start, start + P2.m))
+            origin.extend(("block", j, inner) for inner in range(1, P2.m + 1))
+        else:
+            base_image[j] = len(origin) + 1
+            origin.append(("base", j))
+    edges = set()
+    for i in T:
+        for e in P2.edges:
+            edges.add(Multiset(block[i][a - 1] for a in e.expansion))
+    for e in P1.edges:
+        fixed, glued = [], []
+        for j, mult in e.counts().items():
+            if j in T:
+                glued.append((j, mult))
+            else:
+                fixed.extend([base_image[j]] * mult)
+        choices = [list(pl.iter_multisets(block[j], s)) for j, s in glued]
+        for combo in itertools.product(*choices):
+            edges.add(Multiset(fixed + [v for part in combo for v in part]))
+    return Pattern(len(origin), P1.r, edges), UnionLabeling(P1.m, P2.m, T, tuple(origin))
+
+
+@st.composite
+def union_cases(draw):
+    """Host, inner pattern, glue set and whether the host carries a glued
+    index's diagonal <j, ..., j>: m <= 4, r in 2..4, glue sets of every
+    size, and empty host and inner edge sets among the draws."""
+    r = draw(st.integers(2, 4))
+
+    def pattern(m):
+        universe = list(itertools.combinations_with_replacement(range(1, m + 1), r))
+        return draw(st.lists(st.sampled_from(universe), unique=True, max_size=len(universe)))
+
+    m1, m2 = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    host, inner = pattern(m1), pattern(m2)
+    glue = tuple(sorted(draw(st.sets(st.integers(1, m1), min_size=1))))
+    host = [e for e in host if not (len(set(e)) == 1 and e[0] in glue)]
+    diagonals = draw(st.sets(st.sampled_from(glue)))
+    host += [(j,) * r for j in diagonals]
+    return Pattern(m1, r, host), Pattern(m2, r, inner), glue, diagonals
+
+
+UNION_SETTINGS = settings(max_examples=200, deadline=None, derandomize=True, database=None)
+
+
+@UNION_SETTINGS
+@given(union_cases())
+def test_union_matches_set_reference(case):
+    P1, P2, glue, _ = case
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = pl.union_on_set(P1, P2, glue)
+    assert got == reference_union_on_set(P1, P2, glue)
+
+
+@UNION_SETTINGS
+@given(union_cases(), st.integers(0, 2**32 - 1))
+def test_decomposition_identity_over_glue_sets(case, seed):
+    # Exact without a glued diagonal; with one, deduplication shorts the
+    # left side by the inner polynomial's value on that block.
+    P1, P2, glue, diagonals = case
+    U, lab = pl.union_on_set(P1, P2, glue)
+    x = random_simplex(np.random.default_rng(seed), U.m)
+    lhs, rhs = pl.eval_decomposition(P1, P2, glue, x)
+    deficit = sum(eval_lagrange_unnormalized(P2, x[[k - 1 for k in lab.block(j)]])
+                  for j in diagonals)
+    assert lhs == pytest.approx(rhs - deficit, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -151,6 +151,21 @@ def test_mapf_glue_list(capsys):
     assert doc["result"]["value"] == pytest.approx(1 - 0.5 / 9, abs=1e-8)
 
 
+def test_glue_set_trailing_comma(capsys):
+    # union --on-set and mapf --glue-set read one spec the same way: empty
+    # fields between commas are skipped.
+    host, inner = str(example_path("grosu_m3_r3.json")), str(example_path("p_112.json"))
+    runs = [("union", host, inner, "--on-set"), ("mapf", "--pattern", host, "--lambda", "0.5",
+                                                 "--glue-set")]
+    for argv in runs:
+        code, plain = run_cli(capsys, *argv, "1,3")
+        assert code == 0
+        code, doc = run_cli(capsys, *argv, "1,3,")
+        assert code == 0
+        assert doc["result"] == plain["result"]
+        assert doc["result"]["glue"] == [1, 3]
+
+
 def test_catalog_r3(capsys):
     code, doc = run_cli(capsys, "catalog", "--r", "3")
     assert code == 0

@@ -12,7 +12,9 @@ from hypothesis import strategies as st
 import patternlab as pl
 from patternlab.algebra import ReducedObjective, _reduced_polynomial, eval_phi
 from patternlab.lagrangian import (_finish_rows, _grad_rows, _hessian_rows,
-                                   _integer_terms, _polynomial, _value_rows)
+                                   _polynomial, _value_rows)
+
+from conftest import integer_terms
 
 
 @st.composite
@@ -45,7 +47,7 @@ KERNEL_SETTINGS = settings(max_examples=200, deadline=None, derandomize=True,
 
 def _exact_value(P, x):
     total = Fraction(0)
-    for coef, items in _integer_terms(P):
+    for coef, items in integer_terms(P):
         term = Fraction(coef)
         for i, mult in items:
             term *= x[i] ** mult

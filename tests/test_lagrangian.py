@@ -10,9 +10,9 @@ import patternlab as pl
 from patternlab import OptimizerConfig, Pattern, SimplexPoint
 from patternlab import lagrangian
 from patternlab.errors import CapExceeded
-from patternlab.lagrangian import _integer_terms, eval_lagrange_unnormalized
+from patternlab.lagrangian import eval_lagrange_unnormalized
 
-from conftest import random_simplex, slow_lagrange
+from conftest import integer_terms, random_simplex, slow_lagrange
 
 
 # ---------------------------------------------------------------------------
@@ -231,6 +231,15 @@ def test_maximize_nonconvergence_is_flagged_not_silent(p112):
     assert rep.value <= 4 / 9 + 1e-9  # still a valid lower bound
 
 
+def test_barycenter_starts_are_bounded_by_construction():
+    # Every nonempty subset up to m = 10 (at most 1023 rows); beyond that the
+    # singletons, the pairs and the full barycenter, so no cap is needed.
+    for m, rows in ((1, 1), (10, 2**10 - 1), (11, 11 * 12 // 2 + 1), (40, 40 * 41 // 2 + 1)):
+        X = lagrangian._barycenter_starts(m)
+        assert X.shape == (rows, m)
+        np.testing.assert_allclose(X.sum(axis=1), 1.0, rtol=0, atol=1e-15)
+
+
 def test_value_ties_go_to_the_smallest_kkt_residual():
     # The barycenter start is the exact optimum of offdiagonal(3,3); a row
     # that ends within 1e-12 below it must not win on a smaller point.
@@ -347,7 +356,7 @@ def reference_grid_oracle(P, d):
     best = 0
     for k in _compositions(d, P.m):
         total = 0
-        for mc, items in _integer_terms(P):
+        for mc, items in integer_terms(P):
             term = mc
             for i, mult in items:
                 term *= k[i] ** mult
