@@ -28,7 +28,7 @@ from .errors import CapExceeded
 from .lagrangian import (OptimizerConfig, OptimizerReport, _as_weights,
                          _maximize_poly, _multinomials, _Poly, _polynomial,
                          eval_lagrange, eval_lagrange_unnormalized, maximize)
-from .patterns import (Pattern, _substitute, iter_multisets, random_pattern,
+from .patterns import (Pattern, _runs, _substitute, iter_multisets, random_pattern,
                        relabel_pattern)
 
 __all__ = [
@@ -128,8 +128,8 @@ def union_on_set(P1: Pattern, P2: Pattern, glue,
         raise ValueError(f"uniformity mismatch: r={P1.r} vs r={P2.r}")
     T = _check_glue(P1.m, glue)
     images = len(T) * P2.edge_count + sum(
-        math.prod(math.comb(P2.m + s - 1, s) for j, s in e.counts().items() if j in T)
-        for e in P1.edges)
+        math.prod(math.comb(P2.m + s - 1, s) for j, s in _runs(row) if j in T)
+        for row in P1.rows.tolist())
     if images > cap:
         raise CapExceeded(f"gluing enumerates {images} edge images, cap is {cap}")
 
@@ -147,16 +147,15 @@ def union_on_set(P1: Pattern, P2: Pattern, glue,
     labeling = UnionLabeling(P1.m, P2.m, T, tuple(origin))
     assert labeling.new_m == P1.m + len(T) * (P2.m - 1)
 
-    # Inner images are P2's slot table moved onto each block.  A host
+    # Inner images are P2's rows moved onto each block.  A host
     # diagonal <j, ..., j> on a glued j refills every r-multiset on block j,
     # so the inner images of that block are already among its refills.
-    diagonals = {e.expansion[0] for e in P1.edges if len(e.support) == 1}
-    inner = _polynomial(P2).slots.T
+    diagonals = set(P1.rows[P1.rows[:, 0] == P1.rows[:, -1], 0].tolist())
     refill = lambda j, s: (itertools.combinations_with_replacement(block[j], s)
                            if j in block else [(base_image[j],) * s])
-    edges = np.concatenate([inner + block[j][0] for j in T if j not in diagonals]
-                           + [_substitute(P1, refill, np.min_scalar_type(labeling.new_m))])
-    return Pattern(labeling.new_m, P1.r, zip(*edges.T.tolist())), labeling
+    edges = np.concatenate([P2.rows + (block[j][0] - 1) for j in T if j not in diagonals]
+                           + [_substitute(P1, refill, np.intp)])
+    return Pattern(labeling.new_m, P1.r, edges), labeling
 
 
 def union_on_index(P1: Pattern, P2: Pattern, i: int) -> tuple[Pattern, UnionLabeling]:
@@ -176,9 +175,10 @@ def eval_decomposition(P1: Pattern, P2: Pattern, glue, x) -> tuple[float, float]
     at the block-aggregated point plus the inner polynomial on each block
     slice.  The two agree identically provided the host carries no glued
     index's full diagonal multiset <i, ..., i> (hosts with Lagrangian below
-    1, e.g. minimal ones, never do): a glued diagonal's refills cover every
-    block multiset, the inner images collide with them, and deduplication
-    then shorts the left side by exactly the inner polynomial's block value.
+    1, e.g. minimal ones, never do): a glued diagonal's refills already
+    cover every block multiset, so the gluing skips that block's inner
+    images, and the left side falls short by exactly the inner polynomial's
+    block value.
     """
     U, lab = union_on_set(P1, P2, glue)
     w = _as_weights(U.m, x)

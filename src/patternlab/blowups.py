@@ -21,7 +21,7 @@ import numpy as np
 from .errors import CapExceeded
 from .lagrangian import (OptimizerConfig, eval_lagrange, lagrangian_of_hypergraph,
                          maximize, _as_weights)
-from .patterns import (Hypergraph, Multiset, Pattern, _substitute,
+from .patterns import (Hypergraph, Multiset, Pattern, _runs, _substitute,
                        induced_subpattern, random_pattern)
 
 __all__ = [
@@ -127,9 +127,9 @@ def blowup_edge_count(P: Pattern, sizes: Sequence[int]) -> int:
         raise ValueError(f"expected {P.m} sizes, got {len(sizes)}")
     sizes = [int(s) for s in sizes]
     total = 0
-    for e in P.edges:
+    for row in P.rows.tolist():
         term = 1
-        for i, mult in e.counts().items():
+        for i, mult in _runs(row):
             term *= math.comb(sizes[i - 1], mult)
             if term == 0:
                 break

@@ -262,8 +262,7 @@ def _multinomials(columns: np.ndarray) -> np.ndarray:
 def _polynomial(P: Pattern) -> _Poly:
     """Slot table and float coefficients r!/prod(mult!) of P's density
     polynomial."""
-    edges = np.array([e.expansion for e in P.edges], dtype=np.intp).reshape(-1, P.r)
-    slots = np.ascontiguousarray(edges.T - 1)
+    slots = np.ascontiguousarray(P.rows.T - 1)
     return _Poly(slots, _multinomials(slots).astype(float), P.m)
 
 

@@ -120,37 +120,47 @@ class Multiset:
 class Pattern:
     """An r-uniform pattern: m indices plus a set of r-multisets on {1..m}.
 
-    Edges are deduplicated and kept sorted by expansion, which makes the
-    canonical JSON form unique.  The empty edge set is allowed (its
-    Lagrangian is 0); m >= 1 and r >= 2 are enforced.
+    ``edges`` may be any iterable of multisets or index iterables, each
+    index read through ``int``, or an integer ndarray of shape (E, r), which
+    is copied and never modified.  The pattern stores them once, as
+    ``rows``: a read-only (E, r) ``np.intp`` array of sorted expansions,
+    deduplicated (with a warning) and in lexicographic order, so equal
+    patterns hold equal arrays however they were built and the canonical
+    JSON form is unique.  ``edges``, the same edges as a tuple of
+    ``Multiset``, is built from ``rows`` on first access and kept.  The
+    empty edge set is allowed (its Lagrangian is 0); m >= 1 and r >= 2 are
+    enforced.
     """
 
-    __slots__ = ("m", "r", "edges")
+    __slots__ = ("m", "r", "rows", "_edges", "_hash")
 
-    def __init__(self, m: int, r: int, edges: Iterable[Multiset | Iterable[int]] = ()):
+    def __init__(self, m: int, r: int,
+                 edges: Iterable[Multiset | Iterable[int]] | np.ndarray = ()):
         m = int(m)
         r = int(r)
         if m < 1:
             raise ValueError(f"m must be >= 1, got {m}")
         if r < 2:
             raise ValueError(f"r must be >= 2, got {r}")
-        raw = [e if isinstance(e, Multiset) else Multiset(e) for e in edges]
-        canon = sorted(set(raw), key=lambda e: e.expansion)
-        if len(canon) < len(raw):
+        rows, duplicates = _canonical_edge_array(m, r, edges, multisets=True)
+        if duplicates:
             warnings.warn("duplicate multisets in edge list were deduplicated", stacklevel=2)
-        for e in canon:
-            if e.size != r:
-                raise ValueError(f"multiset {list(e)} has multiplicity sum {e.size} != r={r}")
-            top = e.expansion[-1]
-            if top > m:
-                raise ValueError(f"multiset {list(e)} uses index {top} > m={m}")
+        rows.flags.writeable = False
         self.m = m
         self.r = r
-        self.edges = tuple(canon)
+        self.rows = rows
+        self._edges = None
+        self._hash = None
+
+    @property
+    def edges(self) -> tuple[Multiset, ...]:
+        if self._edges is None:
+            self._edges = tuple(map(Multiset, self.rows.tolist()))
+        return self._edges
 
     @property
     def edge_count(self) -> int:
-        return len(self.edges)
+        return len(self.rows)
 
     def edges_with_multiplicity(self, i: int, s: int) -> tuple[Multiset, ...]:
         """Edges in which index i appears exactly s times."""
@@ -163,14 +173,16 @@ class Pattern:
             isinstance(other, Pattern)
             and self.m == other.m
             and self.r == other.r
-            and self.edges == other.edges
+            and np.array_equal(self.rows, other.rows)
         )
 
     def __hash__(self) -> int:
-        return hash((self.m, self.r, self.edges))
+        if self._hash is None:
+            self._hash = hash((self.m, self.r, self.rows.tobytes()))
+        return self._hash
 
     def __repr__(self) -> str:
-        return f"Pattern(m={self.m}, r={self.r}, edges={[list(e) for e in self.edges]})"
+        return f"Pattern(m={self.m}, r={self.r}, edges={self.rows.tolist()})"
 
 
 class Hypergraph:
@@ -192,7 +204,7 @@ class Hypergraph:
             raise ValueError(f"n must be >= 1, got {n}")
         if r < 2:
             raise ValueError(f"r must be >= 2, got {r}")
-        rows = _canonical_edge_array(n, r, edges)
+        rows, _ = _canonical_edge_array(n, r, edges)
         self.n = n
         self.r = r
         self.edges = tuple(itertools.chain.from_iterable(
@@ -221,69 +233,87 @@ class Hypergraph:
 _EDGE_CHUNK = 4096  # rows turned into tuples at a time, so no list of lists is held in full
 
 
-def _edge_rows(edges, r: int):
+def _edge_rows(edges, r: int, wrong_length):
     """Read edges into an (N, r) integer array, in input order.
 
     Reading stops at the first edge that cannot be read as r integers: one
-    whose length is not r, a vertex that ``int`` rejects, or an error from
-    the iterable itself.  That error is returned beside the rows before it
-    (None when every edge was read), so the caller can still report an
-    earlier offending edge first.
+    whose length is not r (``wrong_length(edge, r)`` makes its error), a
+    value that ``int`` rejects, or an error from the iterable itself.  That
+    error is returned beside the rows before it (None when every edge was
+    read), so the caller can still report an earlier offending edge first.
     """
     if isinstance(edges, np.ndarray) and edges.ndim == 2 and edges.dtype.kind in "iu":
         if edges.shape[1] == r or len(edges) == 0:
             return edges.reshape(-1, r), None
-        return np.empty((0, r), dtype=edges.dtype), _not_a_set(list(edges[0]), r)
+        return np.empty((0, r), dtype=edges.dtype), wrong_length(edges[0], r)
     flat: list[int] = []
     stop = None
     try:
         for e in edges:
             row = [int(v) for v in e]
             if len(row) != r:
-                raise _not_a_set(row, r)
+                raise wrong_length(row, r)
             flat.extend(row)
     except Exception as exc:
         stop = exc
     try:
         rows = np.array(flat, dtype=np.int64)
-    except OverflowError:  # a vertex past int64; the range check rejects it
+    except OverflowError:  # a value past int64; the range check rejects it
         rows = np.array(flat, dtype=object)
     return rows.reshape(-1, r), stop
 
 
-def _not_a_set(edge: list, r: int) -> ValueError:
-    return ValueError(f"edge {edge} is not a set of {r} distinct vertices")
+def _not_a_set(edge, r: int) -> ValueError:
+    return ValueError(f"edge {list(edge)} is not a set of {r} distinct vertices")
 
 
-def _canonical_edge_array(n: int, r: int, edges) -> np.ndarray:
+def _not_r_indices(edge, r: int) -> ValueError:
+    expansion = sorted(int(v) for v in edge)
+    return ValueError(f"multiset {expansion} has multiplicity sum {len(expansion)} != r={r}")
+
+
+def _canonical_edge_array(n: int, r: int, edges, *,
+                          multisets: bool = False) -> tuple[np.ndarray, int]:
     """Check edges and return them row-sorted, deduplicated and in lexicographic
-    order, in the narrowest unsigned dtype that holds n.
+    order, with the number of duplicate edges dropped.
 
-    The first offending edge in input order raises ValueError: one with a
-    repeated vertex or a length other than r, or one leaving [1, n].  An edge
-    that cannot be read raises its reading error at its place in that order.
-    The message shows the edge's vertices as read through ``int`` (an ndarray
-    row as given).  The checks run in the input's dtype, so a negative vertex
-    cannot wrap.
+    Hypergraph edges are r-sets on [1, n] and come back in the narrowest
+    unsigned dtype that holds n.  Pattern edges (``multisets``) may repeat
+    an index and come back as ``np.intp``.  The result never shares memory
+    with ``edges``.
+
+    The first offending edge in input order raises ValueError: one whose
+    length is not r, one with a repeated vertex (sets only), or one leaving
+    [1, n], checked in that order within an edge.  An edge that cannot be
+    read raises its reading error at its place in that order.  A set's
+    message shows its vertices as read through ``int`` (an ndarray row as
+    given), a multiset's its sorted expansion.  The checks run in the
+    input's dtype, so a negative value cannot wrap.
     """
-    rows, stop = _edge_rows(edges, r)
+    rows, stop = _edge_rows(edges, r, _not_r_indices if multisets else _not_a_set)
     ordered = np.sort(rows, axis=1)
-    repeated = (np.diff(ordered, axis=1) == 0).any(axis=1)
-    outside = (ordered[:, 0] < 1) | (ordered[:, -1] > n)
-    bad = np.flatnonzero(repeated | outside)
-    if bad.size:
-        k = int(bad[0])
+    low = ordered[:, 0] < 1
+    bad = low | (ordered[:, -1] > n)
+    if not multisets:
+        repeated = (ordered[:, 1:] == ordered[:, :-1]).any(axis=1)
+        bad |= repeated
+    if bad.any():
+        k = int(bad.argmax())
+        edge = ordered[k].tolist()
+        if multisets:
+            if low[k]:
+                raise ValueError(f"indices must be >= 1, got {edge[0]}")
+            raise ValueError(f"multiset {edge} uses index {edge[-1]} > m={n}")
         if repeated[k]:
-            raw = list(edges[k]) if isinstance(edges, np.ndarray) else rows[k].tolist()
-            raise _not_a_set(raw, r)
-        raise ValueError(f"edge {ordered[k].tolist()} leaves the vertex range [1, {n}]")
+            raise _not_a_set(edges[k] if isinstance(edges, np.ndarray) else rows[k].tolist(), r)
+        raise ValueError(f"edge {edge} leaves the vertex range [1, {n}]")
     if stop is not None:
         raise stop
-    ordered = ordered.astype(np.min_scalar_type(n), copy=False)
+    ordered = ordered.astype(np.intp if multisets else np.min_scalar_type(n), copy=False)
     ordered = ordered[np.lexsort(ordered.T[::-1])]
     fresh = np.ones(len(ordered), dtype=bool)
     fresh[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
-    return ordered[fresh]
+    return ordered[fresh], len(ordered) - np.count_nonzero(fresh)
 
 
 # ---------------------------------------------------------------------------
@@ -302,14 +332,10 @@ def induced_subpattern(P: Pattern, S: Iterable[int]) -> Pattern:
         raise ValueError("S must be nonempty")
     if s_sorted[0] < 1 or s_sorted[-1] > P.m:
         raise ValueError(f"S={s_sorted} is not a subset of [1, {P.m}]")
-    relabel = {old: new for new, old in enumerate(s_sorted, start=1)}
-    keep = set(s_sorted)
-    edges = [
-        Multiset(relabel[i] for i in e.expansion)
-        for e in P.edges
-        if e.support <= keep
-    ]
-    return Pattern(len(s_sorted), P.r, edges)
+    relabel = np.zeros(P.m + 1, dtype=np.intp)
+    relabel[s_sorted] = np.arange(1, len(s_sorted) + 1)
+    rows = relabel[P.rows]
+    return Pattern(len(s_sorted), P.r, rows[rows.all(axis=1)])
 
 
 def remove_index(P: Pattern, i: int) -> Pattern:
@@ -330,12 +356,17 @@ def relabel_pattern(P: Pattern, permutation: Sequence[int]) -> Pattern:
     perm = [int(p) for p in permutation]
     if sorted(perm) != list(range(1, P.m + 1)):
         raise ValueError(f"{perm} is not a permutation of [1, {P.m}]")
-    return Pattern(P.m, P.r, (Multiset(perm[i - 1] for i in e) for e in P.edges))
+    return Pattern(P.m, P.r, np.array([0] + perm, dtype=np.intp)[P.rows])
 
 
 def pattern_of_hypergraph(G: Hypergraph) -> Pattern:
     """View a hypergraph as a pattern: every edge becomes a multiplicity-1 multiset."""
-    return Pattern(G.n, G.r, (Multiset(e) for e in G.edges))
+    return Pattern(G.n, G.r, np.array(G.edges, dtype=np.intp).reshape(-1, G.r))
+
+
+def _runs(row: list[int]) -> list[tuple[int, int]]:
+    """(index, multiplicity) of each run of equal indices in a sorted row."""
+    return [(i, row.count(i)) for i in dict.fromkeys(row)]
 
 
 def _substitute(P: Pattern, picks, dtype) -> np.ndarray:
@@ -354,7 +385,7 @@ def _substitute(P: Pattern, picks, dtype) -> np.ndarray:
         return np.fromiter(itertools.chain.from_iterable(picks(i, s)),
                            dtype=dtype).reshape(-1, s)
 
-    layouts = [[family(i, s) for i, s in sorted(e.counts().items())] for e in P.edges]
+    layouts = [[family(i, s) for i, s in _runs(row)] for row in P.rows.tolist()]
     rows = np.empty((sum(math.prod(map(len, layout)) for layout in layouts), P.r), dtype=dtype)
     row = 0
     for layout in layouts:
@@ -423,7 +454,7 @@ def validate_pattern_document(doc) -> list[str]:
 
 def validate(P: Pattern) -> list[str]:
     """Re-check a constructed pattern's invariants; empty report iff valid."""
-    doc = {"r": P.r, "m": P.m, "edges": [list(e.expansion) for e in P.edges]}
+    doc = {"r": P.r, "m": P.m, "edges": P.rows.tolist()}
     return validate_pattern_document(doc)
 
 
@@ -474,7 +505,7 @@ def _dumps(doc: dict, pretty: bool) -> str:
 
 def pattern_to_json(P: Pattern, *, pretty: bool = False) -> str:
     """Canonical text form: sorted expansions, edge list sorted lexicographically."""
-    doc = {"r": P.r, "m": P.m, "edges": [list(e.expansion) for e in P.edges]}
+    doc = {"r": P.r, "m": P.m, "edges": P.rows.tolist()}
     return _dumps(doc, pretty)
 
 
@@ -597,9 +628,8 @@ def random_pattern(rng, m: int, r: int, *, edge_probability: float = 0.5,
     exclude are never drawn.  When allow_empty is false and the draw comes
     out empty, one multiset is forced in, chosen by an extra draw.
     """
-    banned = {e if isinstance(e, Multiset) else Multiset(e) for e in exclude}
-    universe = [e for e in iter_multisets(range(1, m + 1), r)
-                if Multiset(e) not in banned]
+    banned = {(e if isinstance(e, Multiset) else Multiset(e)).expansion for e in exclude}
+    universe = [e for e in iter_multisets(range(1, m + 1), r) if e not in banned]
     edges = [e for e in universe if rng.random() < edge_probability]
     if not edges and not allow_empty:
         if not universe:

@@ -1,6 +1,7 @@
 """Shared fixtures and independent oracles used across the test suite."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -64,6 +65,30 @@ def integer_terms(P):
         coef = math.factorial(P.r) // math.prod(math.factorial(k) for _, k in counts)
         terms.append((coef, [(i - 1, k) for i, k in counts]))
     return terms
+
+
+def reference_pattern(m, r, edges):
+    """The per-edge Multiset-and-set loop Pattern once ran, kept as the oracle.
+
+    Returns the canonical edges as a sorted tuple of Multiset, warns as
+    Pattern does when a duplicate is dropped, and raises Pattern's error for
+    the first offending edge in input order: its length, then an index
+    below 1 (Multiset's own check), then an index above m.
+    """
+    canon = set()
+    read = 0
+    for e in edges:
+        expansion = sorted(int(v) for v in e)
+        if len(expansion) != r:
+            raise ValueError(f"multiset {expansion} has multiplicity sum {len(expansion)} != r={r}")
+        multiset = pl.Multiset(expansion)
+        if expansion[-1] > m:
+            raise ValueError(f"multiset {expansion} uses index {expansion[-1]} > m={m}")
+        canon.add(multiset)
+        read += 1
+    if len(canon) < read:
+        warnings.warn("duplicate multisets in edge list were deduplicated", stacklevel=2)
+    return tuple(sorted(canon))
 
 
 def random_simplex(rng, m):

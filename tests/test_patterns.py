@@ -1,15 +1,18 @@
+import json
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import patternlab as pl
 from patternlab import Hypergraph, Multiset, Pattern
 from patternlab.errors import FormatError
+from patternlab.lagrangian import _polynomial
 
-from conftest import all_multisets
+from conftest import all_multisets, reference_pattern
 
 
 # ---------------------------------------------------------------------------
@@ -318,6 +321,124 @@ def test_hypergraph_read_errors_keep_input_order(edges):
         Hypergraph(4, 3, fresh())
     assert type(got.value) is type(want.value)
     assert str(got.value) == str(want.value)
+
+
+# ---------------------------------------------------------------------------
+# Pattern storage: one canonical array whatever the input form
+# ---------------------------------------------------------------------------
+
+
+def _pattern_forms(edges, r, m):
+    """The hypergraph edge forms, plus the same edges as a list of Multiset."""
+    yield from _edge_forms(edges, r, m)
+    yield [Multiset(e) for e in edges]
+
+
+@st.composite
+def pattern_inputs(draw):
+    r = draw(st.integers(2, 4))
+    m = draw(st.one_of(st.integers(1, 5), st.integers(6, 300)))
+    edge = st.lists(st.integers(1, m), min_size=r, max_size=r)
+    edges = draw(st.lists(edge, max_size=25))
+    if edges:
+        repeats = draw(st.lists(st.sampled_from(edges), max_size=6))
+        edges += [draw(st.permutations(e)) for e in repeats]
+        edges = draw(st.permutations(edges))
+    return m, r, edges
+
+
+def _warnings_of(build):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = build()
+    return result, [(w.category, str(w.message)) for w in caught]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(pattern_inputs())
+@example((3, 3, []))
+@example((2, 3, [[1, 1, 2], [2, 1, 1], [2, 2, 2], [1, 2, 1]]))
+def test_pattern_matches_reference_for_every_input_form(case):
+    m, r, edges = case
+    want, want_warnings = _warnings_of(lambda: reference_pattern(m, r, edges))
+    want_json = json.dumps({"r": r, "m": m, "edges": [list(e.expansion) for e in want]},
+                           separators=(",", ":"))
+    first = None
+    for form in _pattern_forms(edges, r, m):
+        before = form.copy() if isinstance(form, np.ndarray) else None
+        P, got_warnings = _warnings_of(lambda: Pattern(m, r, form))
+        assert got_warnings == want_warnings
+        assert P.edges == want and all(type(e) is Multiset for e in P.edges)
+        assert P.edge_count == len(want)
+        assert pl.pattern_to_json(P) == want_json
+        assert P.rows.dtype == np.intp and not P.rows.flags.writeable
+        if before is not None:
+            assert np.array_equal(form, before) and form.dtype == before.dtype
+            assert not np.shares_memory(P.rows, form)
+        first = first or P
+        assert P == first and hash(P) == hash(first)
+        assert _polynomial(P) is _polynomial(first)
+    assert Pattern(m, r, want) == first and hash(Pattern(m, r, want)) == hash(first)
+
+
+def test_pattern_names_first_offending_edge_in_input_order():
+    with pytest.raises(ValueError, match=r"^multiset \[2, 2, 3\] uses index 3 > m=2$"):
+        Pattern(2, 3, [[2, 2, 3], [1, 1, 3]])
+    with pytest.raises(ValueError, match=r"^multiset \[1, 1\] has multiplicity sum 2 != r=3$"):
+        Pattern(2, 3, [[1, 1], [0, 1, 1]])
+
+
+@pytest.mark.parametrize("m, r, edges", [
+    (2, 3, [[2, 2, 3], [1, 1, 3]]),  # index > m: the first such edge in input order
+    (2, 3, [[1, 1], [0, 1, 1]]),  # too short before index 0
+    (2, 3, [[1, 1, 2], [1, 2, 0]]),  # index 0
+    (3, 3, [[1, 2, 3], [3, -2, 1]]),  # negative index
+    (255, 3, [[2, 3, -1]]),  # negative index that would wrap to 255 in uint8
+    (2, 3, [[1, 2, 2, 1]]),  # too long: an array of the wrong width
+    (2, 3, [[1, 2, 3], [1, 1]]),  # index > m before a short edge
+    (2, 3, [[1, 0, 2], [1, 1, 5]]),  # index 0 before index > m
+    (2, 3, [[0, 1, 5]]),  # index 0 and index > m in one edge
+    (2, 3, [[1, 1, 2], []]),  # an empty edge
+    (2, 3, [[1, 1, 5], ["x", 1, 1]]),  # index > m before a value int rejects
+    (2, 3, [["x", 1, 1], [1, 1, 5]]),  # a value int rejects comes first
+])
+def test_pattern_errors_match_reference(m, r, edges):
+    forms = [lambda: edges, lambda: tuple(tuple(e) for e in edges),
+             lambda: ((v for v in e) for e in edges)]
+    values = [v for e in edges for v in e]
+    if len({len(e) for e in edges}) == 1 and all(isinstance(v, int) for v in values):
+        forms += [lambda dtype=dtype: np.array(edges, dtype=dtype) for dtype in INT_DTYPES
+                  if np.iinfo(dtype).min <= min(values) and max(values) <= np.iinfo(dtype).max]
+    for form in forms:
+        with pytest.raises(ValueError) as want:
+            reference_pattern(m, r, form())
+        with pytest.raises(ValueError) as got:
+            Pattern(m, r, form())
+        assert str(got.value) == str(want.value)
+
+
+def test_pattern_copies_its_input_array():
+    edges = np.array([[1, 1, 2], [1, 2, 2]], dtype=np.intp)  # canonical already
+    P = Pattern(2, 3, edges)
+    assert not np.shares_memory(P.rows, edges)
+    edges[0, 2] = 1
+    assert P.edges == (Multiset([1, 1, 2]), Multiset([1, 2, 2]))
+    with pytest.raises(ValueError):
+        P.rows[0, 0] = 2
+
+
+def test_pattern_does_not_mutate_input_array():
+    edges = np.array([[2, 1, 1], [2, 2, 1], [1, 2, 1]], dtype=np.int16)
+    before = edges.copy()
+    with pytest.warns(UserWarning, match="duplicate multisets"):
+        P = Pattern(2, 3, edges)
+    assert P.edges == (Multiset([1, 1, 2]), Multiset([1, 2, 2]))
+    assert np.array_equal(edges, before) and edges.dtype == np.int16
+
+
+def test_pattern_edges_are_built_once(pb):
+    assert pb.edges is pb.edges
+    assert repr(pb) == "Pattern(m=2, r=3, edges=[[1, 1, 2], [1, 2, 2]])"
 
 
 # ---------------------------------------------------------------------------
