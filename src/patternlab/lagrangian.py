@@ -662,20 +662,63 @@ def lagrangian_of_hypergraph(G: Hypergraph, cfg: OptimizerConfig | None = None) 
 GRID_CHUNK = 4096
 
 
-def _grid_chunks(d: int, m: int) -> Iterator[np.ndarray]:
-    """Every composition of d into m nonnegative parts, as int64 arrays of at
-    most GRID_CHUNK rows, in lexicographic order.
+def _grid_chunks(d: int, m: int, lead: tuple[int, ...] = ()) -> Iterator[np.ndarray]:
+    """Every composition of d into m nonnegative parts, as int64 arrays of
+    1 to GRID_CHUNK rows, in lexicographic order, each row prefixed by the
+    fixed parts ``lead``.
 
-    Stars and bars: a composition is a choice of m - 1 bar positions among
-    d + m - 1 slots, and part i is the number of stars between bars i - 1
-    and i, with sentinel bars at -1 and d + m - 1.
+    Stars and bars by leading part: leading part k leaves C(d-k+m-2, m-2)
+    completions.  Consecutive leading parts whose completions fit in one
+    chunk together are expanded in one ``_grid_block``; a leading part with
+    more completions than a chunk holds moves into ``lead`` and the
+    (d - k, m - 1) grid is chunked the same way.
     """
-    bars = itertools.combinations(range(d + m - 1), m - 1)
-    while chunk := list(itertools.islice(bars, GRID_CHUNK)):
-        flat = np.fromiter(itertools.chain.from_iterable(chunk), dtype=np.int64,
-                           count=len(chunk) * (m - 1))
-        yield np.diff(flat.reshape(len(chunk), m - 1), axis=1,
-                      prepend=-1, append=d + m - 1) - 1
+    if m == 1:
+        yield np.array([[*lead, d]], dtype=np.int64)
+        return
+    left = np.arange(d, -1, -1, dtype=np.int64)  # d - k for leading part k
+    # Completions C(left + j, j) built up over j, capped at GRID_CHUNK + 1:
+    # each step is exact on an exact count and keeps a capped one capped.
+    tails = np.ones(d + 1, dtype=np.int64)
+    for j in range(1, m - 1):
+        tails = np.minimum(tails * (left + j) // j, GRID_CHUNK + 1)
+    ends = np.cumsum(tails)
+    k = 0
+    while k <= d:
+        if tails[k] > GRID_CHUNK:
+            yield from _grid_chunks(d - k, m - 1, (*lead, k))
+            k += 1
+        else:
+            stop = int(np.searchsorted(ends, ends[k] - tails[k] + GRID_CHUNK, side="right"))
+            yield _grid_block(lead, d, left[k:stop], m)
+            k = stop
+
+
+def _grid_block(lead: tuple[int, ...], d: int, left: np.ndarray, m: int) -> np.ndarray:
+    """The compositions of d into m parts whose leading parts leave
+    ``left``, in lexicographic order and prefixed by ``lead``.
+
+    Each column is one ``np.repeat``: a row with s still to place gets
+    s + 1 children, one per next part 0..s.  The columns are then gathered
+    into the chunk from the last back through the chain of parents.
+    """
+    parents, parts = [], [d - left]
+    for _ in range(m - 2):
+        counts = left + 1
+        parent = np.repeat(np.arange(len(left)), counts)
+        part = np.arange(len(parent)) - (np.cumsum(counts) - counts)[parent]
+        parents.append(parent)
+        parts.append(part)
+        left = left[parent] - part
+    K = np.empty((len(left), len(lead) + m), dtype=np.int64)
+    K[:, :len(lead)] = lead
+    K[:, -1] = left
+    row = slice(None)
+    for col in range(m - 2, -1, -1):
+        K[:, len(lead) + col] = parts[col][row]
+        if col:
+            row = parents[col - 1][row]
+    return K
 
 
 def grid_oracle(P: Pattern, d: int, *, cap: int = 1_000_000) -> Fraction:

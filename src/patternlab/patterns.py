@@ -190,11 +190,14 @@ class Hypergraph:
 
     ``edges`` may be any iterable of vertex iterables, each vertex read
     through ``int``, or an integer ndarray of shape (N, r), which is copied
-    and never modified.  Stored edges are sorted tuples of Python ints,
-    deduplicated and in lexicographic order.
+    and never modified.  The hypergraph stores them once, as ``rows``: a
+    read-only (N, r) array in ``np.min_scalar_type(n)`` of sorted edges,
+    deduplicated and in lexicographic order.  ``edges``, the same edges as
+    a tuple of sorted Python-int tuples, is built from ``rows`` on first
+    access and kept.
     """
 
-    __slots__ = ("n", "r", "edges")
+    __slots__ = ("n", "r", "rows", "_edges", "_hash")
 
     def __init__(self, n: int, r: int,
                  edges: Iterable[Iterable[int]] | np.ndarray = ()):
@@ -205,26 +208,38 @@ class Hypergraph:
         if r < 2:
             raise ValueError(f"r must be >= 2, got {r}")
         rows, _ = _canonical_edge_array(n, r, edges)
+        rows.flags.writeable = False
         self.n = n
         self.r = r
-        self.edges = tuple(itertools.chain.from_iterable(
-            zip(*rows[i:i + _EDGE_CHUNK].T.tolist())
-            for i in range(0, len(rows), _EDGE_CHUNK)))
+        self.rows = rows
+        self._edges = None
+        self._hash = None
+
+    @property
+    def edges(self) -> tuple[tuple[int, ...], ...]:
+        if self._edges is None:
+            rows = self.rows
+            self._edges = tuple(itertools.chain.from_iterable(
+                zip(*rows[i:i + _EDGE_CHUNK].T.tolist())
+                for i in range(0, len(rows), _EDGE_CHUNK)))
+        return self._edges
 
     @property
     def edge_count(self) -> int:
-        return len(self.edges)
+        return len(self.rows)
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Hypergraph)
             and self.n == other.n
             and self.r == other.r
-            and self.edges == other.edges
+            and np.array_equal(self.rows, other.rows)
         )
 
     def __hash__(self) -> int:
-        return hash((self.n, self.r, self.edges))
+        if self._hash is None:
+            self._hash = hash((self.n, self.r, self.rows.tobytes()))
+        return self._hash
 
     def __repr__(self) -> str:
         return f"Hypergraph(n={self.n}, r={self.r}, edges={self.edge_count})"
@@ -309,6 +324,11 @@ def _canonical_edge_array(n: int, r: int, edges, *,
         raise ValueError(f"edge {edge} leaves the vertex range [1, {n}]")
     if stop is not None:
         raise stop
+    # An unsigned input (a hypergraph's rows) can hold indices past intp.
+    if multisets and n > np.iinfo(np.intp).max and ordered.size:
+        top = int(ordered.max())
+        if top > np.iinfo(np.intp).max:
+            raise OverflowError(f"index {top} does not fit in np.intp")
     ordered = ordered.astype(np.intp if multisets else np.min_scalar_type(n), copy=False)
     ordered = ordered[np.lexsort(ordered.T[::-1])]
     fresh = np.ones(len(ordered), dtype=bool)
@@ -361,7 +381,7 @@ def relabel_pattern(P: Pattern, permutation: Sequence[int]) -> Pattern:
 
 def pattern_of_hypergraph(G: Hypergraph) -> Pattern:
     """View a hypergraph as a pattern: every edge becomes a multiplicity-1 multiset."""
-    return Pattern(G.n, G.r, np.array(G.edges, dtype=np.intp).reshape(-1, G.r))
+    return Pattern(G.n, G.r, G.rows)
 
 
 def _runs(row: list[int]) -> list[tuple[int, int]]:
@@ -408,6 +428,12 @@ def _substitute(P: Pattern, picks, dtype) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _is_integer(value) -> bool:
+    """An integer of a JSON document: ``bool`` is an ``int`` subclass, so
+    ``true`` and ``false`` would otherwise pass as 1 and 0."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def validate_pattern_document(doc) -> list[str]:
     """Diagnostics for a raw (parsed-JSON) pattern document; empty iff valid.
 
@@ -423,9 +449,9 @@ def validate_pattern_document(doc) -> list[str]:
     if diags:
         return diags
     r, m, edges = doc["r"], doc["m"], doc["edges"]
-    if not isinstance(r, int) or r < 2:
+    if not _is_integer(r) or r < 2:
         diags.append(f"r: must be an integer >= 2, got {r!r}")
-    if not isinstance(m, int) or m < 1:
+    if not _is_integer(m) or m < 1:
         diags.append(f"m: must be an integer >= 1, got {m!r}")
     if not isinstance(edges, list):
         diags.append(f"edges: must be a list, got {type(edges).__name__}")
@@ -434,7 +460,7 @@ def validate_pattern_document(doc) -> list[str]:
     seen: dict[tuple[int, ...], int] = {}
     for k, e in enumerate(edges):
         loc = f"edges[{k}]"
-        if not isinstance(e, list) or not all(isinstance(v, int) for v in e):
+        if not isinstance(e, list) or not all(map(_is_integer, e)):
             diags.append(f"{loc}: must be a list of integers")
             continue
         if len(e) != r:
@@ -469,9 +495,9 @@ def validate_hypergraph_document(doc) -> list[str]:
     if diags:
         return diags
     r, n, edges = doc["r"], doc["n"], doc["edges"]
-    if not isinstance(r, int) or r < 2:
+    if not _is_integer(r) or r < 2:
         diags.append(f"r: must be an integer >= 2, got {r!r}")
-    if not isinstance(n, int) or n < 1:
+    if not _is_integer(n) or n < 1:
         diags.append(f"n: must be an integer >= 1, got {n!r}")
     if not isinstance(edges, list):
         diags.append(f"edges: must be a list, got {type(edges).__name__}")
@@ -479,7 +505,7 @@ def validate_hypergraph_document(doc) -> list[str]:
         return diags
     for k, e in enumerate(edges):
         loc = f"edges[{k}]"
-        if not isinstance(e, list) or not all(isinstance(v, int) for v in e):
+        if not isinstance(e, list) or not all(map(_is_integer, e)):
             diags.append(f"{loc}: must be a list of integers")
             continue
         if len(e) != r or len(set(e)) != len(e):
@@ -516,8 +542,7 @@ def _parse(text: str) -> dict:
         raise FormatError(f"parse error at line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
 
 
-def pattern_from_json(text: str) -> Pattern:
-    doc = _parse(text)
+def _pattern_from_doc(doc) -> Pattern:
     diags = validate_pattern_document(doc)
     hard = [d for d in diags if not d.startswith("warning:")]
     if hard:
@@ -525,21 +550,28 @@ def pattern_from_json(text: str) -> Pattern:
     return Pattern(doc["m"], doc["r"], doc["edges"])
 
 
+def pattern_from_json(text: str) -> Pattern:
+    return _pattern_from_doc(_parse(text))
+
+
 def _hypergraph_doc(G: Hypergraph) -> dict:
     """The JSON document of a hypergraph file, as a dict."""
-    return {"r": G.r, "n": G.n, "edges": [list(e) for e in G.edges]}
+    return {"r": G.r, "n": G.n, "edges": G.rows.tolist()}
 
 
 def hypergraph_to_json(G: Hypergraph, *, pretty: bool = False) -> str:
     return _dumps(_hypergraph_doc(G), pretty)
 
 
-def hypergraph_from_json(text: str) -> Hypergraph:
-    doc = _parse(text)
+def _hypergraph_from_doc(doc) -> Hypergraph:
     diags = validate_hypergraph_document(doc)
     if diags:
         raise FormatError("invalid hypergraph document: " + "; ".join(diags))
     return Hypergraph(doc["n"], doc["r"], doc["edges"])
+
+
+def hypergraph_from_json(text: str) -> Hypergraph:
+    return _hypergraph_from_doc(_parse(text))
 
 
 def load_pattern(path) -> Pattern:
@@ -555,11 +587,10 @@ def load_hypergraph(path) -> Hypergraph:
 def load_any(path) -> Pattern | Hypergraph:
     """Load a pattern or hypergraph file, sniffing by the 'm' vs 'n' field."""
     with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    doc = _parse(text)
+        doc = _parse(fh.read())
     if isinstance(doc, dict) and "n" in doc and "m" not in doc:
-        return hypergraph_from_json(text)
-    return pattern_from_json(text)
+        return _hypergraph_from_doc(doc)
+    return _pattern_from_doc(doc)
 
 
 def save_pattern(P: Pattern, path, *, pretty: bool = False) -> None:

@@ -1,5 +1,6 @@
 """Shared fixtures and independent oracles used across the test suite."""
 
+import itertools
 import math
 import warnings
 
@@ -89,6 +90,21 @@ def reference_pattern(m, r, edges):
     if len(canon) < read:
         warnings.warn("duplicate multisets in edge list were deduplicated", stacklevel=2)
     return tuple(sorted(canon))
+
+
+def reference_grid_chunks(d, m, chunk):
+    """The itertools stars-and-bars enumerator grid_oracle once ran, kept as
+    the oracle: every composition of d into m parts in lexicographic order,
+    as int64 arrays of ``chunk`` rows (the last one shorter).  A composition
+    is a choice of m - 1 bar positions among d + m - 1 slots, and part i is
+    the number of stars between bars i - 1 and i, with sentinel bars at -1
+    and d + m - 1."""
+    bars = itertools.combinations(range(d + m - 1), m - 1)
+    while batch := list(itertools.islice(bars, chunk)):
+        flat = np.fromiter(itertools.chain.from_iterable(batch), dtype=np.int64,
+                           count=len(batch) * (m - 1))
+        yield np.diff(flat.reshape(len(batch), m - 1), axis=1,
+                      prepend=-1, append=d + m - 1) - 1
 
 
 def random_simplex(rng, m):

@@ -221,6 +221,25 @@ def test_blowup_density_matches_materialized(rng, pb):
     assert pl.blowup_density(pb, (3, 4)) == pl.density(pl.blowup(pb, (3, 4))[0])
 
 
+def test_blowup_round_trip_never_builds_edge_tuples(tmp_path):
+    # Every step here reads the hypergraph's integer rows; the tuple of
+    # edge tuples is for callers that ask for it.
+    P = pl.offdiagonal_pattern(3, 3)
+    sizes = (6, 5, 4)
+    G, _ = pl.blowup(P, sizes)
+    value = pl.density(G)
+    assert G.edge_count == pl.blowup_edge_count(P, sizes)
+    Q = pl.pattern_of_hypergraph(G)
+    assert Q.edge_count == G.edge_count
+    text = pl.hypergraph_to_json(G)
+    path = tmp_path / "graph.json"
+    pl.save_hypergraph(G, path)
+    H = pl.load_hypergraph(path)
+    assert pl.density(H) == value and H == G
+    assert path.read_text() == text + "\n"
+    assert G._edges is None and H._edges is None
+
+
 # ---------------------------------------------------------------------------
 # Apportionment
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -12,7 +13,7 @@ from patternlab import lagrangian
 from patternlab.errors import CapExceeded
 from patternlab.lagrangian import eval_lagrange_unnormalized
 
-from conftest import integer_terms, random_simplex, slow_lagrange
+from conftest import integer_terms, random_simplex, reference_grid_chunks, slow_lagrange
 
 
 # ---------------------------------------------------------------------------
@@ -393,6 +394,40 @@ def test_grid_oracle_chunk_boundaries():
     chunks = list(lagrangian._grid_chunks(lagrangian.GRID_CHUNK, 2))
     assert [len(K) for K in chunks] == [lagrangian.GRID_CHUNK, 1]
     assert chunks[1].tolist() == [[lagrangian.GRID_CHUNK, 0]]
+
+
+def assert_grid_chunks_match_reference(d, m):
+    chunks = list(lagrangian._grid_chunks(d, m))
+    want = np.concatenate(list(reference_grid_chunks(d, m, lagrangian.GRID_CHUNK)))
+    got = np.concatenate(chunks)
+    assert all(K.dtype == np.int64 for K in chunks)
+    assert all(1 <= len(K) <= lagrangian.GRID_CHUNK for K in chunks)
+    assert (got.sum(axis=1) == d).all()
+    assert np.array_equal(got, want)
+
+
+GRID_POINTS_CAP = 60_000  # keeps the itertools reference fast
+
+
+@st.composite
+def grid_shapes(draw):
+    m = draw(st.integers(1, 8))
+    top = 60
+    while math.comb(top + m - 1, m - 1) > GRID_POINTS_CAP:
+        top -= 1
+    return draw(st.integers(0, top)), m
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(grid_shapes())
+def test_grid_chunks_match_itertools_reference(shape):
+    assert_grid_chunks_match_reference(*shape)
+
+
+@pytest.mark.parametrize("d, m", [(1, 21), (5, 1), (13, 10)])
+def test_grid_chunks_edge_shapes(d, m):
+    # (13, 10) has 497,420 points and splits leading parts three levels deep.
+    assert_grid_chunks_match_reference(d, m)
 
 
 def test_grid_oracle_object_dtype_path():

@@ -255,10 +255,42 @@ def hypergraph_inputs(draw):
 def test_hypergraph_edges_match_reference(case):
     n, r, edges = case
     want = reference_hypergraph_edges(n, r, edges)
+    first = Hypergraph(n, r, edges)
     for form in _edge_forms(edges, r, n):
-        got = Hypergraph(n, r, form).edges
-        assert got == want
+        G = Hypergraph(n, r, form)
+        assert G.rows.dtype == np.min_scalar_type(n)
+        assert G.rows.tolist() == [list(e) for e in want]
+        assert G == first and hash(G) == hash(first)
+        got = G.edges
+        assert got == want and G.edges is got
         assert all(type(v) is int for e in got for v in e)
+    doc = {"r": r, "n": n, "edges": [list(e) for e in want]}
+    assert pl.hypergraph_to_json(first) == json.dumps(doc, separators=(",", ":"))
+    assert pl.hypergraph_to_json(first, pretty=True) == json.dumps(doc, indent=2)
+
+
+def test_hypergraph_rows_are_a_read_only_copy():
+    for n, dtype in ((4, np.uint8), (300, np.uint16), (70_000, np.uint32)):
+        edges = np.array([[1, 2, 3], [1, 2, n]], dtype=dtype)  # canonical already
+        G = Hypergraph(n, 3, edges)
+        assert G.rows.dtype == dtype and not G.rows.flags.writeable
+        assert not np.shares_memory(G.rows, edges)
+        edges[0, 0] = 2
+        assert G.edges == ((1, 2, 3), (1, 2, n))
+        with pytest.raises(ValueError):
+            G.rows[0, 0] = 2
+    assert Hypergraph(3, 2, [[1, 2]]) != Hypergraph(4, 2, [[1, 2]])
+    assert Hypergraph(3, 2, [[1, 2]]) != Pattern(3, 2, [[1, 2]])
+
+
+def test_pattern_rejects_unsigned_indices_past_intp():
+    n = 2**63 + 5
+    G = Hypergraph(n, 2, [[1, n]])
+    assert G.edges == ((1, n),) and G.rows.dtype == np.uint64
+    with pytest.raises(OverflowError):
+        pl.pattern_of_hypergraph(G)
+    with pytest.raises(OverflowError):
+        Pattern(n, 2, np.array([[1, n]], dtype=np.uint64))  # never wrapped to negative
 
 
 def test_hypergraph_does_not_mutate_input_array():
@@ -467,6 +499,29 @@ def test_validate_document_duplicates_and_missing():
     assert pl.validate_pattern_document({"r": 3, "m": 2}) == ["missing field 'edges'"]
 
 
+@pytest.mark.parametrize("doc, want", [
+    ({"r": 3, "m": 2, "edges": [[True, True, 2]]}, "edges[0]: must be a list of integers"),
+    ({"r": 3, "m": True, "edges": []}, "m: must be an integer >= 1, got True"),
+    ({"r": True, "m": 2, "edges": []}, "r: must be an integer >= 2, got True"),
+])
+def test_pattern_document_rejects_booleans(doc, want):
+    assert pl.validate_pattern_document(doc) == [want]
+    with pytest.raises(FormatError, match=want.replace("[", r"\[").replace("]", r"\]")):
+        pl.pattern_from_json(json.dumps(doc))
+
+
+@pytest.mark.parametrize("doc, want", [
+    ({"r": 3, "n": 4, "edges": [[True, 2, 3]]}, "edges[0]: must be a list of integers"),
+    ({"r": 2, "n": 4, "edges": [[1, False]]}, "edges[0]: must be a list of integers"),
+    ({"r": 2, "n": True, "edges": []}, "n: must be an integer >= 1, got True"),
+    ({"r": True, "n": 4, "edges": []}, "r: must be an integer >= 2, got True"),
+])
+def test_hypergraph_document_rejects_booleans(doc, want):
+    assert pl.validate_hypergraph_document(doc) == [want]
+    with pytest.raises(FormatError, match=want.replace("[", r"\[").replace("]", r"\]")):
+        pl.hypergraph_from_json(json.dumps(doc))
+
+
 # ---------------------------------------------------------------------------
 # Serialization
 # ---------------------------------------------------------------------------
@@ -521,6 +576,43 @@ def test_load_any_sniffs_kind(tmp_path):
     g.write_text('{"r":2,"n":3,"edges":[[1,2]]}')
     assert isinstance(pl.load_any(p), Pattern)
     assert isinstance(pl.load_any(g), Hypergraph)
+
+
+def test_load_any_parses_once(tmp_path, monkeypatch):
+    calls = []
+    loads = json.loads
+
+    def counting(text, *args, **kwargs):
+        calls.append(text)
+        return loads(text, *args, **kwargs)
+
+    monkeypatch.setattr(json, "loads", counting)
+    for text, kind in (('{"r":3,"m":2,"edges":[[1,1,2]]}', Pattern),
+                       ('{"r":2,"n":3,"edges":[[1,2]]}', Hypergraph)):
+        path = tmp_path / "doc.json"
+        path.write_text(text)
+        calls.clear()
+        assert isinstance(pl.load_any(path), kind)
+        assert calls == [text]
+
+
+@pytest.mark.parametrize("text, want", [
+    ('{"r":2,"n":3,"edges":[[1,1]]}',
+     "invalid hypergraph document: edges[0]: must contain exactly 2 distinct vertices"),
+    ('{"r":3,"m":2,"edges":[[1,1,3]]}', "invalid pattern document: edges[0]: index 3 > m=2"),
+    ('[1, 2]', "invalid pattern document: document must be an object, got list"),
+    ('{not json', "parse error at line 1 column 2: Expecting property name enclosed in double quotes"),
+])
+def test_load_any_errors_match_from_json(tmp_path, text, want):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    with pytest.raises(FormatError) as got:
+        pl.load_any(path)
+    assert str(got.value) == want
+    from_json = pl.hypergraph_from_json if '"n"' in text else pl.pattern_from_json
+    with pytest.raises(FormatError) as direct:
+        from_json(text)
+    assert str(direct.value) == want
 
 
 def test_save_and_load(tmp_path, pb):
