@@ -29,9 +29,8 @@ from .algebra import (decomposition_suite, map_f, nonjump_catalog,
 from .blowups import blowup, construction_suite, density, sequence_check
 from .errors import CapExceeded, FormatError, PatternLabError
 from .lagrangian import OptimizerConfig, grid_oracle, maximize, minimality_suite
-from .patterns import (Hypergraph, _hypergraph_doc, load_any, load_pattern,
-                       pattern_of_hypergraph, pattern_to_json, save_hypergraph,
-                       save_pattern)
+from .patterns import (Hypergraph, _document, load_any, load_pattern,
+                       pattern_of_hypergraph, save_hypergraph, save_pattern)
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -139,7 +138,7 @@ def _cmd_union(args) -> tuple[dict, int, list[str]]:
         "m": U.m,
         "r": U.r,
         "edges": U.edge_count,
-        "pattern": json.loads(pattern_to_json(U)),
+        "pattern": _document(U),
         "labeling": lab.to_dict(),
     }
     if args.out:
@@ -176,7 +175,7 @@ def _cmd_blowup(args) -> tuple[dict, int, list[str]]:
         "n": G.n,
         "r": G.r,
         "edges": G.edge_count,
-        "hypergraph": _hypergraph_doc(G),
+        "hypergraph": _document(G),
     }
     if G.n >= G.r:
         result["density"] = density(G)
@@ -227,8 +226,11 @@ def _cmd_check_sequence(args) -> tuple[dict, int, list[str]]:
             eps = json.load(fh)
         except json.JSONDecodeError as exc:
             raise FormatError(f"eps file: parse error at line {exc.lineno}: {exc.msg}") from exc
-    if not isinstance(eps, (int, float, list)):
-        raise FormatError("eps file must hold a number or a list of numbers")
+    entries = eps if isinstance(eps, list) else [eps]
+    for k, value in enumerate(entries):
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            where = f"eps[{k}]" if entries is eps else "eps"
+            raise FormatError(f"eps file: {where} must be a number, got {json.dumps(value)}")
     cfg = _config_of(args)
     report = sequence_check(patterns, args.k, args.lambda0, eps, cfg)
     result = {"terms": names, **report.to_dict()}

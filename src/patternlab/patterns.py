@@ -424,8 +424,12 @@ def _substitute(P: Pattern, picks, dtype) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Validation diagnostics
+# JSON documents: validation, loading and canonical serialization
 # ---------------------------------------------------------------------------
+
+# Per kind: the size field, the word for an entry, the message for a misshapen edge.
+_FIELDS = {Pattern: ("m", "index", "multiplicity sum {length} != r={r}"),
+           Hypergraph: ("n", "vertex", "must contain exactly {r} distinct vertices")}
 
 
 def _is_integer(value) -> bool:
@@ -434,93 +438,96 @@ def _is_integer(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _check(doc, kind) -> tuple[list[str], np.ndarray | None]:
+    """Diagnostics for a raw (parsed-JSON) ``Pattern`` or ``Hypergraph``
+    document, and its edge entries in input order as one flat int64 array
+    (object past 2^63; None if the header fails).  One Python pass checks
+    the entries' JSON types; length, range, repeated vertices and duplicate
+    pattern edges are found in numpy, and messages are made only for the
+    edges flagged.
+    """
+    size_key, noun, bad_shape = _FIELDS[kind]
+    if not isinstance(doc, dict):
+        return [f"document must be an object, got {type(doc).__name__}"], None
+    diags = [f"missing field '{key}'" for key in ("r", size_key, "edges") if key not in doc]
+    if diags:
+        return diags, None
+    r, size, edges = doc["r"], doc[size_key], doc["edges"]
+    if not _is_integer(r) or r < 2:
+        diags.append(f"r: must be an integer >= 2, got {r!r}")
+    if not _is_integer(size) or size < 1:
+        diags.append(f"{size_key}: must be an integer >= 1, got {size!r}")
+    if not isinstance(edges, list):
+        diags.append(f"edges: must be a list, got {type(edges).__name__}")
+    if diags:
+        return diags, None
+    flat, lengths, typed = [], [], []
+    for e in edges:
+        ok = isinstance(e, list) and all(map(_is_integer, e))
+        typed.append(ok)
+        lengths.append(len(e) if ok else 0)
+        flat.extend(e if ok else ())
+    try:
+        values = np.array(flat, dtype=np.int64)
+    except OverflowError:
+        values = np.array(flat, dtype=object)
+    typed, lengths = np.array(typed, dtype=bool), np.array(lengths, dtype=np.int64)
+    flagged = ~typed | (lengths != r)
+    flagged[np.repeat(np.arange(len(edges)), lengths)[(values < 1) | (values > size)]] = True
+    repeated = np.zeros(len(edges), dtype=bool)
+    first = np.full(len(edges), -1)  # for a duplicate, the edge it repeats
+    starts = np.cumsum(lengths) - lengths
+    for width in np.unique(lengths[typed]).tolist():
+        members = np.flatnonzero(typed & (lengths == width))
+        block = np.sort(values[starts[members, None] + np.arange(width)], axis=1)
+        if kind is Hypergraph:
+            repeated[members] = (block[:, 1:] == block[:, :-1]).any(axis=1)
+            continue
+        order = np.lexsort([members, *block.T[::-1]])  # equal rows stay in input order
+        block = block[order]
+        same = np.r_[False, (block[1:] == block[:-1]).all(axis=1)]
+        head = np.maximum.accumulate(np.where(same, 0, np.arange(len(block))))
+        first[members[order[same]]] = members[order[head[same]]]
+    for k in np.flatnonzero(flagged | repeated | (first >= 0)).tolist():
+        e, loc = edges[k], f"edges[{k}]"
+        if not typed[k]:
+            diags.append(f"{loc}: must be a list of integers")
+            continue
+        if len(e) != r or repeated[k]:
+            diags.append(f"{loc}: " + bad_shape.format(length=len(e), r=r))
+        for v in e:
+            if v < 1:
+                diags.append(f"{loc}: {noun} {v} < 1")
+            elif v > size:
+                diags.append(f"{loc}: {noun} {v} > {size_key}={size}")
+        if first[k] >= 0:
+            diags.append(f"warning: {loc} duplicates edges[{first[k]}]")
+    return diags, values
+
+
 def validate_pattern_document(doc) -> list[str]:
     """Diagnostics for a raw (parsed-JSON) pattern document; empty iff valid.
 
     Duplicate edges are reported with a ``warning:`` prefix: they are legal
     on load (deduplicated with a warning) but noted here.
     """
-    diags: list[str] = []
-    if not isinstance(doc, dict):
-        return [f"document must be an object, got {type(doc).__name__}"]
-    for key in ("r", "m", "edges"):
-        if key not in doc:
-            diags.append(f"missing field '{key}'")
-    if diags:
-        return diags
-    r, m, edges = doc["r"], doc["m"], doc["edges"]
-    if not _is_integer(r) or r < 2:
-        diags.append(f"r: must be an integer >= 2, got {r!r}")
-    if not _is_integer(m) or m < 1:
-        diags.append(f"m: must be an integer >= 1, got {m!r}")
-    if not isinstance(edges, list):
-        diags.append(f"edges: must be a list, got {type(edges).__name__}")
-    if diags:
-        return diags
-    seen: dict[tuple[int, ...], int] = {}
-    for k, e in enumerate(edges):
-        loc = f"edges[{k}]"
-        if not isinstance(e, list) or not all(map(_is_integer, e)):
-            diags.append(f"{loc}: must be a list of integers")
-            continue
-        if len(e) != r:
-            diags.append(f"{loc}: multiplicity sum {len(e)} != r={r}")
-        for v in e:
-            if v < 1:
-                diags.append(f"{loc}: index {v} < 1")
-            elif v > m:
-                diags.append(f"{loc}: index {v} > m={m}")
-        key = tuple(sorted(e))
-        if key in seen:
-            diags.append(f"warning: {loc} duplicates edges[{seen[key]}]")
-        else:
-            seen[key] = k
-    return diags
+    return _check(doc, Pattern)[0]
 
 
 def validate(P: Pattern) -> list[str]:
     """Re-check a constructed pattern's invariants; empty report iff valid."""
-    doc = {"r": P.r, "m": P.m, "edges": P.rows.tolist()}
-    return validate_pattern_document(doc)
+    return _check(_document(P), Pattern)[0]
 
 
 def validate_hypergraph_document(doc) -> list[str]:
     """Diagnostics for a raw hypergraph document; empty iff valid."""
-    diags: list[str] = []
-    if not isinstance(doc, dict):
-        return [f"document must be an object, got {type(doc).__name__}"]
-    for key in ("r", "n", "edges"):
-        if key not in doc:
-            diags.append(f"missing field '{key}'")
-    if diags:
-        return diags
-    r, n, edges = doc["r"], doc["n"], doc["edges"]
-    if not _is_integer(r) or r < 2:
-        diags.append(f"r: must be an integer >= 2, got {r!r}")
-    if not _is_integer(n) or n < 1:
-        diags.append(f"n: must be an integer >= 1, got {n!r}")
-    if not isinstance(edges, list):
-        diags.append(f"edges: must be a list, got {type(edges).__name__}")
-    if diags:
-        return diags
-    for k, e in enumerate(edges):
-        loc = f"edges[{k}]"
-        if not isinstance(e, list) or not all(map(_is_integer, e)):
-            diags.append(f"{loc}: must be a list of integers")
-            continue
-        if len(e) != r or len(set(e)) != len(e):
-            diags.append(f"{loc}: must contain exactly {r} distinct vertices")
-        for v in e:
-            if v < 1:
-                diags.append(f"{loc}: vertex {v} < 1")
-            elif v > n:
-                diags.append(f"{loc}: vertex {v} > n={n}")
-    return diags
+    return _check(doc, Hypergraph)[0]
 
 
-# ---------------------------------------------------------------------------
-# Canonical JSON serialization
-# ---------------------------------------------------------------------------
+def _document(obj: Pattern | Hypergraph) -> dict:
+    """The JSON document of a pattern or hypergraph file, as a dict."""
+    size_key = _FIELDS[type(obj)][0]
+    return {"r": obj.r, size_key: getattr(obj, size_key), "edges": obj.rows.tolist()}
 
 
 def _dumps(doc: dict, pretty: bool) -> str:
@@ -531,8 +538,11 @@ def _dumps(doc: dict, pretty: bool) -> str:
 
 def pattern_to_json(P: Pattern, *, pretty: bool = False) -> str:
     """Canonical text form: sorted expansions, edge list sorted lexicographically."""
-    doc = {"r": P.r, "m": P.m, "edges": P.rows.tolist()}
-    return _dumps(doc, pretty)
+    return _dumps(_document(P), pretty)
+
+
+def hypergraph_to_json(G: Hypergraph, *, pretty: bool = False) -> str:
+    return _dumps(_document(G), pretty)
 
 
 def _parse(text: str) -> dict:
@@ -542,55 +552,41 @@ def _parse(text: str) -> dict:
         raise FormatError(f"parse error at line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
 
 
-def _pattern_from_doc(doc) -> Pattern:
-    diags = validate_pattern_document(doc)
+def _read(path) -> dict:
+    with open(path, "r", encoding="utf-8") as fh:
+        return _parse(fh.read())
+
+
+def _from_doc(doc, kind):
+    """Build a ``kind`` from a raw document, or raise FormatError listing every fault."""
+    diags, values = _check(doc, kind)
     hard = [d for d in diags if not d.startswith("warning:")]
     if hard:
-        raise FormatError("invalid pattern document: " + "; ".join(hard))
-    return Pattern(doc["m"], doc["r"], doc["edges"])
+        raise FormatError(f"invalid {kind.__name__.lower()} document: " + "; ".join(hard))
+    return kind(doc[_FIELDS[kind][0]], doc["r"], values.reshape(-1, doc["r"]))
 
 
 def pattern_from_json(text: str) -> Pattern:
-    return _pattern_from_doc(_parse(text))
-
-
-def _hypergraph_doc(G: Hypergraph) -> dict:
-    """The JSON document of a hypergraph file, as a dict."""
-    return {"r": G.r, "n": G.n, "edges": G.rows.tolist()}
-
-
-def hypergraph_to_json(G: Hypergraph, *, pretty: bool = False) -> str:
-    return _dumps(_hypergraph_doc(G), pretty)
-
-
-def _hypergraph_from_doc(doc) -> Hypergraph:
-    diags = validate_hypergraph_document(doc)
-    if diags:
-        raise FormatError("invalid hypergraph document: " + "; ".join(diags))
-    return Hypergraph(doc["n"], doc["r"], doc["edges"])
+    return _from_doc(_parse(text), Pattern)
 
 
 def hypergraph_from_json(text: str) -> Hypergraph:
-    return _hypergraph_from_doc(_parse(text))
+    return _from_doc(_parse(text), Hypergraph)
 
 
 def load_pattern(path) -> Pattern:
-    with open(path, "r", encoding="utf-8") as fh:
-        return pattern_from_json(fh.read())
+    return _from_doc(_read(path), Pattern)
 
 
 def load_hypergraph(path) -> Hypergraph:
-    with open(path, "r", encoding="utf-8") as fh:
-        return hypergraph_from_json(fh.read())
+    return _from_doc(_read(path), Hypergraph)
 
 
 def load_any(path) -> Pattern | Hypergraph:
     """Load a pattern or hypergraph file, sniffing by the 'm' vs 'n' field."""
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = _parse(fh.read())
-    if isinstance(doc, dict) and "n" in doc and "m" not in doc:
-        return _hypergraph_from_doc(doc)
-    return _pattern_from_doc(doc)
+    doc = _read(path)
+    hypergraph = isinstance(doc, dict) and "n" in doc and "m" not in doc
+    return _from_doc(doc, Hypergraph if hypergraph else Pattern)
 
 
 def save_pattern(P: Pattern, path, *, pretty: bool = False) -> None:

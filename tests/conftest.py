@@ -6,8 +6,16 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 import patternlab as pl
+
+# Fixed example sequence, no deadline and no example database: the suite
+# gives the same verdict on every run and writes nothing to the checkout.
+# Property tests set only their own max_examples.
+settings.register_profile("patternlab", deadline=None, derandomize=True, database=None)
+settings.load_profile("patternlab")
+assert settings.default.derandomize
 
 
 @pytest.fixture
@@ -110,3 +118,93 @@ def reference_grid_chunks(d, m, chunk):
 def random_simplex(rng, m):
     w = rng.standard_exponential(m)
     return w / w.sum()
+
+
+def _is_integer(value) -> bool:
+    """An integer of a JSON document: ``bool`` is an ``int`` subclass, so
+    ``true`` and ``false`` would otherwise pass as 1 and 0."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def reference_validate_pattern_document(doc) -> list[str]:
+    """The per-edge, per-value loop validate_pattern_document once ran, kept
+    as the oracle for the shared document check.
+
+    Diagnostics for a raw (parsed-JSON) pattern document; empty iff valid.
+
+    Duplicate edges are reported with a ``warning:`` prefix: they are legal
+    on load (deduplicated with a warning) but noted here.
+    """
+    diags: list[str] = []
+    if not isinstance(doc, dict):
+        return [f"document must be an object, got {type(doc).__name__}"]
+    for key in ("r", "m", "edges"):
+        if key not in doc:
+            diags.append(f"missing field '{key}'")
+    if diags:
+        return diags
+    r, m, edges = doc["r"], doc["m"], doc["edges"]
+    if not _is_integer(r) or r < 2:
+        diags.append(f"r: must be an integer >= 2, got {r!r}")
+    if not _is_integer(m) or m < 1:
+        diags.append(f"m: must be an integer >= 1, got {m!r}")
+    if not isinstance(edges, list):
+        diags.append(f"edges: must be a list, got {type(edges).__name__}")
+    if diags:
+        return diags
+    seen: dict[tuple[int, ...], int] = {}
+    for k, e in enumerate(edges):
+        loc = f"edges[{k}]"
+        if not isinstance(e, list) or not all(map(_is_integer, e)):
+            diags.append(f"{loc}: must be a list of integers")
+            continue
+        if len(e) != r:
+            diags.append(f"{loc}: multiplicity sum {len(e)} != r={r}")
+        for v in e:
+            if v < 1:
+                diags.append(f"{loc}: index {v} < 1")
+            elif v > m:
+                diags.append(f"{loc}: index {v} > m={m}")
+        key = tuple(sorted(e))
+        if key in seen:
+            diags.append(f"warning: {loc} duplicates edges[{seen[key]}]")
+        else:
+            seen[key] = k
+    return diags
+
+
+def reference_validate_hypergraph_document(doc) -> list[str]:
+    """The per-edge, per-value loop validate_hypergraph_document once ran,
+    kept as the oracle for the shared document check.
+
+    Diagnostics for a raw hypergraph document; empty iff valid."""
+    diags: list[str] = []
+    if not isinstance(doc, dict):
+        return [f"document must be an object, got {type(doc).__name__}"]
+    for key in ("r", "n", "edges"):
+        if key not in doc:
+            diags.append(f"missing field '{key}'")
+    if diags:
+        return diags
+    r, n, edges = doc["r"], doc["n"], doc["edges"]
+    if not _is_integer(r) or r < 2:
+        diags.append(f"r: must be an integer >= 2, got {r!r}")
+    if not _is_integer(n) or n < 1:
+        diags.append(f"n: must be an integer >= 1, got {n!r}")
+    if not isinstance(edges, list):
+        diags.append(f"edges: must be a list, got {type(edges).__name__}")
+    if diags:
+        return diags
+    for k, e in enumerate(edges):
+        loc = f"edges[{k}]"
+        if not isinstance(e, list) or not all(map(_is_integer, e)):
+            diags.append(f"{loc}: must be a list of integers")
+            continue
+        if len(e) != r or len(set(e)) != len(e):
+            diags.append(f"{loc}: must contain exactly {r} distinct vertices")
+        for v in e:
+            if v < 1:
+                diags.append(f"{loc}: vertex {v} < 1")
+            elif v > n:
+                diags.append(f"{loc}: vertex {v} > n={n}")
+    return diags

@@ -201,7 +201,7 @@ def union_cases(draw):
     return Pattern(m1, r, host), Pattern(m2, r, inner), glue, diagonals
 
 
-UNION_SETTINGS = settings(max_examples=200, deadline=None, derandomize=True, database=None)
+UNION_SETTINGS = settings(max_examples=200)
 
 
 @UNION_SETTINGS

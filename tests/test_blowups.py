@@ -151,7 +151,7 @@ def blowup_inputs(draw):
     return Pattern(m, r, edges), sizes
 
 
-@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@settings(max_examples=120)
 @given(blowup_inputs())
 def test_blowup_matches_product_reference(case):
     P, sizes = case

@@ -282,6 +282,25 @@ def test_check_sequence_bad_eps_exits_2(capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("text, want", [
+    ("true", "eps must be a number, got true"),
+    ("[true]", "eps[0] must be a number, got true"),
+    ('["0.1"]', 'eps[0] must be a number, got "0.1"'),
+    ("[null]", "eps[0] must be a number, got null"),
+    ("[0.1, null]", "eps[1] must be a number, got null"),
+    ("{}", "eps must be a number, got {}"),
+])
+def test_check_sequence_eps_entries_must_be_numbers(capsys, tmp_path, text, want):
+    seq = _write_sequence(tmp_path, [pl.offdiagonal_pattern(3, 3)])
+    eps = tmp_path / "eps.json"
+    eps.write_text(text)
+    code = main(["check-sequence", str(seq), "--k", "2", "--lambda0", "0.1",
+                 "--eps-file", str(eps)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"patternlab: eps file: {want}\n"
+
+
 # ---------------------------------------------------------------------------
 # Manifest and determinism
 # ---------------------------------------------------------------------------

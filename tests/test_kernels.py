@@ -39,10 +39,7 @@ def pattern_and_point(draw):
     return P, x
 
 
-# Fixed example sequence and no example database: the suite gives the same
-# verdict on every run and writes nothing to the checkout.
-KERNEL_SETTINGS = settings(max_examples=200, deadline=None, derandomize=True,
-                           database=None)
+KERNEL_SETTINGS = settings(max_examples=200)
 
 
 def _exact_value(P, x):
@@ -134,7 +131,7 @@ def large_patterns(draw):
     return pl.Pattern(m, r, [e for e, k in zip(universe, keep) if k])
 
 
-@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@settings(max_examples=30)
 @given(large_patterns(), st.integers(0, 2**32 - 1))
 def test_row_blocks_match_row_by_row(P, seed):
     poly = _polynomial(P)

@@ -375,7 +375,7 @@ def grid_cases(draw):
     return Pattern(m, r, edges), draw(st.integers(1, 12))
 
 
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@settings(max_examples=200)
 @given(grid_cases())
 def test_grid_oracle_matches_reference_loop(case):
     P, d = case
@@ -418,7 +418,7 @@ def grid_shapes(draw):
     return draw(st.integers(0, top)), m
 
 
-@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@settings(max_examples=120)
 @given(grid_shapes())
 def test_grid_chunks_match_itertools_reference(shape):
     assert_grid_chunks_match_reference(*shape)

@@ -8,11 +8,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import patternlab as pl
-from patternlab import Hypergraph, Multiset, Pattern
+from patternlab import Hypergraph, Multiset, Pattern, patterns
 from patternlab.errors import FormatError
 from patternlab.lagrangian import _polynomial
 
-from conftest import all_multisets, reference_pattern
+from conftest import (all_multisets, reference_pattern,
+                      reference_validate_hypergraph_document,
+                      reference_validate_pattern_document)
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +252,7 @@ def hypergraph_inputs(draw):
     return n, r, edges
 
 
-@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@settings(max_examples=150)
 @given(hypergraph_inputs())
 def test_hypergraph_edges_match_reference(case):
     n, r, edges = case
@@ -386,7 +388,7 @@ def _warnings_of(build):
     return result, [(w.category, str(w.message)) for w in caught]
 
 
-@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@settings(max_examples=150)
 @given(pattern_inputs())
 @example((3, 3, []))
 @example((2, 3, [[1, 1, 2], [2, 1, 1], [2, 2, 2], [1, 2, 1]]))
@@ -520,6 +522,119 @@ def test_hypergraph_document_rejects_booleans(doc, want):
     assert pl.validate_hypergraph_document(doc) == [want]
     with pytest.raises(FormatError, match=want.replace("[", r"\[").replace("]", r"\]")):
         pl.hypergraph_from_json(json.dumps(doc))
+
+
+# Values a JSON document can hold where an integer belongs.
+_NOT_INTEGERS = [True, False, 1.0, 2.5, "1", None, [1], {}]
+_HUGE = [2**70, -2**70, 2**63, -2**63 - 1]
+
+
+@st.composite
+def raw_documents(draw):
+    """A parsed-JSON pattern ("m") or hypergraph ("n") document: mostly well
+    formed, with each of the faults the validators name now and then."""
+    def rarely(strategy, usual):
+        return draw(strategy) if draw(st.integers(0, 9)) == 9 else usual
+
+    size_key = draw(st.sampled_from(["m", "n"]))
+    odd = st.sampled_from(_NOT_INTEGERS + _HUGE) | st.integers(-1, 1)
+    r = rarely(odd, draw(st.integers(2, 4)))
+    size = rarely(odd, draw(st.integers(1, 6)))
+    width = r if type(r) is int and 2 <= r <= 4 else 3
+    top = size if type(size) is int and 1 <= size <= 6 else 4
+    value = st.integers(1, top)
+    outside = st.sampled_from([-1, 0, top + 1, top + 2] + _HUGE)
+    edges = []
+    for _ in range(draw(st.integers(0, 12))):
+        e = draw(st.lists(value, min_size=width, max_size=width,
+                          unique=size_key == "n" and top >= width))
+        for entries in (value, value | outside, value | st.sampled_from(_NOT_INTEGERS)):
+            e = rarely(st.lists(entries, min_size=width, max_size=width), e)
+        e = rarely(st.lists(value, max_size=width + 2), e)
+        edges.append(rarely(st.sampled_from([None, 3, "edge", {}]), e))
+    lists = [e for e in edges if isinstance(e, list)]
+    if lists:
+        for e in draw(st.lists(st.sampled_from(lists), max_size=4)):
+            edges.insert(draw(st.integers(0, len(edges))), draw(st.permutations(e)))
+    doc = {"r": r, size_key: size, "edges": rarely(odd, edges)}
+    for key in rarely(st.sets(st.sampled_from(["r", size_key, "edges"]), min_size=1), ()):
+        del doc[key]
+    return size_key, rarely(st.sampled_from([[], 7, "doc", None]), doc)
+
+
+def _outcome(build):
+    """What ``build`` returns, or its exception's type and text; with its warnings."""
+    def attempt():
+        try:
+            return build()
+        except Exception as exc:
+            return type(exc), str(exc)
+    return _warnings_of(attempt)
+
+
+_KINDS = {"m": (Pattern, pl.validate_pattern_document, reference_validate_pattern_document,
+                pl.pattern_from_json),
+          "n": (Hypergraph, pl.validate_hypergraph_document,
+                reference_validate_hypergraph_document, pl.hypergraph_from_json)}
+
+
+@settings(max_examples=400)
+@given(raw_documents())
+@example(("m", [1, 2]))
+@example(("n", {"r": 2}))
+@example(("m", {"r": True, "m": "2", "edges": []}))
+@example(("n", {"r": 2.0, "n": None, "edges": []}))
+@example(("m", {"r": 2**70, "m": 2**70, "edges": []}))
+@example(("n", {"r": 2, "n": 2**70, "edges": [[1, 2**65], [2**65, 1], [2**70, 3]]}))
+@example(("m", {"r": 2, "m": 2**70, "edges": [[1, 2**65], [2**65, 1]]}))
+@example(("n", {"r": 2, "n": 3, "edges": {"0": [1, 2]}}))
+@example(("m", {"r": 2, "m": 3, "edges": [[1, 2], None, "12", 5, {}]}))
+@example(("n", {"r": 2, "n": 3, "edges": [[1, True], [1.0, 2], ["1", 2], [None, 2], [1, 2]]}))
+@example(("m", {"r": 3, "m": 2, "edges": [[1], [1, 1, 2, 2], [], [2, 2, 1], [1, 2, 1], []]}))
+@example(("n", {"r": 3, "n": 4, "edges": [[1], [1, 2, 3, 4], [], [4, 2, 3]]}))
+@example(("n", {"r": 3, "n": 4, "edges": [[0, 2, 5], [2**70, 1, 2], [-2**70, 3, 4]]}))
+@example(("m", {"r": 3, "m": 4, "edges": [[0, 2, 5], [2**70, 1, 2], [-2**70, 3, 4]]}))
+@example(("n", {"r": 3, "n": 4, "edges": [[1, 1, 2], [3, 3, 3], [1, 2, 3], [3, 2, 1]]}))
+@example(("m", {"r": 3, "m": 3, "edges": [[1, 1, 2], [2, 1, 1], [1, 2], [2, 1], [1, 2, 1],
+                                          [3, 0, 1], [1, 3, 0], [1, 2, 2, 3], [3, 2, 2, 1]]}))
+def test_document_check_matches_reference(case):
+    size_key, doc = case
+    kind, validate, reference, from_json = _KINDS[size_key]
+    want = reference(doc)
+    assert validate(doc) == want
+    hard = [d for d in want if not d.startswith("warning:")]
+    loaded = _outcome(lambda: from_json(json.dumps(doc)))
+    if hard:
+        message = f"invalid {kind.__name__.lower()} document: " + "; ".join(hard)
+        assert loaded == ((FormatError, message), [])
+        return
+    assert loaded == _outcome(lambda: kind(doc[size_key], doc["r"], doc["edges"]))
+    if isinstance(loaded[0], Pattern):
+        assert pl.validate(loaded[0]) == reference(json.loads(pl.pattern_to_json(loaded[0]))) == []
+
+
+def test_loading_hands_the_checked_array_to_the_constructor(tmp_path, monkeypatch):
+    seen = []
+    edge_rows = patterns._edge_rows
+
+    def spy(edges, r, wrong_length):
+        seen.append(edges)
+        return edge_rows(edges, r, wrong_length)
+
+    monkeypatch.setattr(patterns, "_edge_rows", spy)
+    pattern_text = '{"r":3,"m":2,"edges":[[2,1,1],[1,2,2],[1,1,2]]}'
+    hypergraph_text = '{"r":2,"n":4,"edges":[[2,1],[1,3],[4,2]]}'
+    (tmp_path / "p.json").write_text(pattern_text)
+    (tmp_path / "g.json").write_text(hypergraph_text)
+    with pytest.warns(UserWarning, match="deduplicated"):
+        loaded = [pl.pattern_from_json(pattern_text), pl.load_pattern(tmp_path / "p.json"),
+                  pl.load_any(tmp_path / "p.json")]
+    loaded += [pl.hypergraph_from_json(hypergraph_text), pl.load_hypergraph(tmp_path / "g.json"),
+               pl.load_any(tmp_path / "g.json")]
+    assert [type(obj) for obj in loaded] == [Pattern] * 3 + [Hypergraph] * 3
+    assert len(seen) == 6
+    for edges in seen:  # the array fast path: no per-value int() loop
+        assert isinstance(edges, np.ndarray) and edges.ndim == 2 and edges.dtype == np.int64
 
 
 # ---------------------------------------------------------------------------
