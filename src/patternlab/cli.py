@@ -216,6 +216,8 @@ def _cmd_verify(args) -> tuple[dict, int, list[str]]:
 
 
 def _cmd_check_sequence(args) -> tuple[dict, int, list[str]]:
+    if not math.isfinite(args.lambda0):
+        raise FormatError(f"--lambda0 must be a finite number, got {args.lambda0}")
     names = sorted(f for f in os.listdir(args.directory) if f.endswith(".json"))
     if not names:
         raise FormatError(f"no .json pattern files in {args.directory}")
@@ -228,9 +230,11 @@ def _cmd_check_sequence(args) -> tuple[dict, int, list[str]]:
             raise FormatError(f"eps file: parse error at line {exc.lineno}: {exc.msg}") from exc
     entries = eps if isinstance(eps, list) else [eps]
     for k, value in enumerate(entries):
+        where = f"eps[{k}]" if entries is eps else "eps"
         if isinstance(value, bool) or not isinstance(value, (int, float)):
-            where = f"eps[{k}]" if entries is eps else "eps"
             raise FormatError(f"eps file: {where} must be a number, got {json.dumps(value)}")
+        if isinstance(value, float) and not math.isfinite(value):  # json reads NaN and Infinity
+            raise FormatError(f"eps file: {where} must be finite, got {json.dumps(value)}")
     cfg = _config_of(args)
     report = sequence_check(patterns, args.k, args.lambda0, eps, cfg)
     result = {"terms": names, **report.to_dict()}

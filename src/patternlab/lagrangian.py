@@ -767,7 +767,8 @@ class MinimalityReport:
     """Per-index Lagrangian drop when that index is removed.
 
     minimal is true when every removal drops the value by more than the
-    margin tolerance; margins[i] = value(P) - value(P without i).
+    margin tolerance; margins[i] = value(P) - value(P without i).  argmax
+    is the maximizer of P itself (not part of the JSON form).
     """
 
     minimal: bool
@@ -775,6 +776,7 @@ class MinimalityReport:
     margins: dict[int, float]
     margin_tolerance: float
     converged: bool
+    argmax: SimplexPoint
 
     def to_dict(self) -> dict:
         return {
@@ -805,7 +807,8 @@ def is_minimal(P: Pattern, cfg: OptimizerConfig | None = None, *,
             converged = converged and sub.converged
         margins[i] = base.value - sub_value
     minimal = all(g > margin_tolerance for g in margins.values())
-    return MinimalityReport(minimal, base.value, margins, margin_tolerance, converged)
+    return MinimalityReport(minimal, base.value, margins, margin_tolerance, converged,
+                            base.argmax)
 
 
 # ---------------------------------------------------------------------------
@@ -838,8 +841,7 @@ def minimality_suite(cfg: OptimizerConfig | None = None, seed: int = 0) -> dict:
             ok = rep.minimal == expect
         full_support = None
         if rep.minimal:
-            arg = maximize(P, cfg).argmax
-            full_support = bool((arg.weights > cfg.support_threshold).all())
+            full_support = bool((rep.argmax.weights > cfg.support_threshold).all())
             ok = ok and full_support
         all_ok = all_ok and ok
         cases.append({

@@ -18,7 +18,7 @@ import json
 import math
 import warnings
 from collections import Counter
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -117,40 +117,88 @@ class Multiset:
         return f"Multiset({list(self._expansion)})"
 
 
-class Pattern:
-    """An r-uniform pattern: m indices plus a set of r-multisets on {1..m}.
+class _EdgeArray:
+    """What ``Pattern`` and ``Hypergraph`` share: r, a size (m or n) and the edges.
 
-    ``edges`` may be any iterable of multisets or index iterables, each
-    index read through ``int``, or an integer ndarray of shape (E, r), which
-    is copied and never modified.  The pattern stores them once, as
-    ``rows``: a read-only (E, r) ``np.intp`` array of sorted expansions,
-    deduplicated (with a warning) and in lexicographic order, so equal
-    patterns hold equal arrays however they were built and the canonical
-    JSON form is unique.  ``edges``, the same edges as a tuple of
-    ``Multiset``, is built from ``rows`` on first access and kept.  The
-    empty edge set is allowed (its Lagrangian is 0); m >= 1 and r >= 2 are
-    enforced.
+    ``edges`` may be any iterable of index iterables, each index read
+    through ``int``, or an integer ndarray of shape (E, r), which is copied
+    and never modified.  They are kept once, as ``rows``: a read-only (E, r)
+    array of sorted edges, deduplicated and in lexicographic order, so equal
+    objects hold equal arrays however they were built.  The first offending
+    edge in input order raises ValueError, worded by ``_fault``; an edge that
+    cannot be read raises its reading error at its place in that order.
     """
 
-    __slots__ = ("m", "r", "rows", "_edges", "_hash")
+    __slots__ = ("r", "rows", "_size", "_edges", "_hash")
 
-    def __init__(self, m: int, r: int,
-                 edges: Iterable[Multiset | Iterable[int]] | np.ndarray = ()):
-        m = int(m)
-        r = int(r)
-        if m < 1:
-            raise ValueError(f"m must be >= 1, got {m}")
-        if r < 2:
-            raise ValueError(f"r must be >= 2, got {r}")
-        rows, duplicates = _canonical_edge_array(m, r, edges, multisets=True)
-        if duplicates:
-            warnings.warn("duplicate multisets in edge list were deduplicated", stacklevel=2)
+    def _build(self, size: int, r: int, edges) -> int:
+        """Check and keep the edges; return the number of duplicates dropped."""
+        self._size, self.r = int(size), int(r)
+        if self._size < 1:
+            raise ValueError(f"{self._size_key} must be >= 1, got {self._size}")
+        if self.r < 2:
+            raise ValueError(f"r must be >= 2, got {self.r}")
+        values, lengths, stop = _read_edges(edges)
+        rows, faults = _check_edges(values, lengths, self.r, self._size, self._multisets)
+        if rows is None:
+            k = int(faults.bad.argmax())
+            start = int(lengths[:k].sum())
+            entries = values[start:start + lengths[k]]
+            given = list(edges[k]) if isinstance(edges, np.ndarray) else entries.tolist()
+            raise ValueError(self._fault(faults, k, given, sorted(entries.tolist())))
+        if stop is not None:
+            raise stop
+        rows = self._stored(rows.reshape(-1, self.r))
         rows.flags.writeable = False
-        self.m = m
-        self.r = r
-        self.rows = rows
-        self._edges = None
-        self._hash = None
+        self.rows, self._edges, self._hash = rows, None, None
+        return len(lengths) - len(rows)
+
+    def _stored(self, rows: np.ndarray) -> np.ndarray:
+        return rows
+
+    @property
+    def edge_count(self) -> int:
+        return len(self.rows)
+
+    def __eq__(self, other) -> bool:
+        return (type(other) is type(self) and self._size == other._size and self.r == other.r
+                and np.array_equal(self.rows, other.rows))
+
+    def __hash__(self) -> int:
+        if self._hash is None:
+            self._hash = hash((self._size, self.r, self.rows.tobytes()))
+        return self._hash
+
+
+class Pattern(_EdgeArray):
+    """An r-uniform pattern: m indices plus a set of r-multisets on {1..m}.
+
+    ``rows`` is ``np.intp``, and a dropped duplicate warns.  ``edges``, the
+    same edges as a tuple of ``Multiset``, is built on first access and kept.
+    The empty edge set is allowed (its Lagrangian is 0).
+    """
+
+    __slots__ = ()
+    _size_key, _noun, _bad_shape = "m", "index", "multiplicity sum {length} != r={r}"
+    _multisets = True
+    m = property(lambda self: self._size, doc="The number of indices.")
+
+    def __init__(self, m: int, r: int, edges: Iterable[Multiset | Iterable[int]] | np.ndarray = ()):
+        if self._build(m, r, edges):
+            warnings.warn("duplicate multisets in edge list were deduplicated", stacklevel=2)
+
+    def _stored(self, rows: np.ndarray) -> np.ndarray:
+        # The rows come in np.min_scalar_type(m), which can hold indices past intp.
+        if self.m > _INTP_MAX and rows.size and (top := int(rows.max())) > _INTP_MAX:
+            raise OverflowError(f"index {top} does not fit in np.intp")
+        return rows.astype(np.intp, copy=False)
+
+    def _fault(self, faults: "_Faults", k: int, given: list, edge: list[int]) -> str:
+        if faults.shape[k]:
+            return f"multiset {edge} has multiplicity sum {len(edge)} != r={self.r}"
+        if faults.low[k]:
+            return f"indices must be >= 1, got {edge[0]}"
+        return f"multiset {edge} uses index {edge[-1]} > m={self.m}"
 
     @property
     def edges(self) -> tuple[Multiset, ...]:
@@ -158,62 +206,36 @@ class Pattern:
             self._edges = tuple(map(Multiset, self.rows.tolist()))
         return self._edges
 
-    @property
-    def edge_count(self) -> int:
-        return len(self.rows)
-
     def edges_with_multiplicity(self, i: int, s: int) -> tuple[Multiset, ...]:
         """Edges in which index i appears exactly s times."""
         if not 1 <= i <= self.m:
             raise ValueError(f"index {i} out of range [1, {self.m}]")
         return tuple(e for e in self.edges if e.multiplicity(i) == s)
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Pattern)
-            and self.m == other.m
-            and self.r == other.r
-            and np.array_equal(self.rows, other.rows)
-        )
-
-    def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash((self.m, self.r, self.rows.tobytes()))
-        return self._hash
-
     def __repr__(self) -> str:
         return f"Pattern(m={self.m}, r={self.r}, edges={self.rows.tolist()})"
 
 
-class Hypergraph:
+class Hypergraph(_EdgeArray):
     """An r-uniform hypergraph on vertex set {1..n}; edges are r-sets.
 
-    ``edges`` may be any iterable of vertex iterables, each vertex read
-    through ``int``, or an integer ndarray of shape (N, r), which is copied
-    and never modified.  The hypergraph stores them once, as ``rows``: a
-    read-only (N, r) array in ``np.min_scalar_type(n)`` of sorted edges,
-    deduplicated and in lexicographic order.  ``edges``, the same edges as
-    a tuple of sorted Python-int tuples, is built from ``rows`` on first
-    access and kept.
+    ``rows`` is in ``np.min_scalar_type(n)``, and a duplicate is dropped
+    silently.  ``edges``, the same edges as a tuple of sorted Python-int
+    tuples, is built on first access and kept.
     """
 
-    __slots__ = ("n", "r", "rows", "_edges", "_hash")
+    __slots__ = ()
+    _size_key, _noun, _bad_shape = "n", "vertex", "must contain exactly {r} distinct vertices"
+    _multisets = False
+    n = property(lambda self: self._size, doc="The number of vertices.")
 
-    def __init__(self, n: int, r: int,
-                 edges: Iterable[Iterable[int]] | np.ndarray = ()):
-        n = int(n)
-        r = int(r)
-        if n < 1:
-            raise ValueError(f"n must be >= 1, got {n}")
-        if r < 2:
-            raise ValueError(f"r must be >= 2, got {r}")
-        rows, _ = _canonical_edge_array(n, r, edges)
-        rows.flags.writeable = False
-        self.n = n
-        self.r = r
-        self.rows = rows
-        self._edges = None
-        self._hash = None
+    def __init__(self, n: int, r: int, edges: Iterable[Iterable[int]] | np.ndarray = ()):
+        self._build(n, r, edges)
+
+    def _fault(self, faults: "_Faults", k: int, given: list, edge: list[int]) -> str:
+        if faults.shape[k]:
+            return f"edge {given} is not a set of {self.r} distinct vertices"
+        return f"edge {edge} leaves the vertex range [1, {self.n}]"
 
     @property
     def edges(self) -> tuple[tuple[int, ...], ...]:
@@ -224,116 +246,93 @@ class Hypergraph:
                 for i in range(0, len(rows), _EDGE_CHUNK)))
         return self._edges
 
-    @property
-    def edge_count(self) -> int:
-        return len(self.rows)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Hypergraph)
-            and self.n == other.n
-            and self.r == other.r
-            and np.array_equal(self.rows, other.rows)
-        )
-
-    def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash((self.n, self.r, self.rows.tobytes()))
-        return self._hash
-
     def __repr__(self) -> str:
         return f"Hypergraph(n={self.n}, r={self.r}, edges={self.edge_count})"
 
 
 _EDGE_CHUNK = 4096  # rows turned into tuples at a time, so no list of lists is held in full
+_INTP_MAX = np.iinfo(np.intp).max
 
 
-def _edge_rows(edges, r: int, wrong_length):
-    """Read edges into an (N, r) integer array, in input order.
+def _integers(values: list[int]) -> np.ndarray:
+    """Python ints as one int64 array, or as an object array when one is past int64."""
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        return np.array(values, dtype=object)
 
-    Reading stops at the first edge that cannot be read as r integers: one
-    whose length is not r (``wrong_length(edge, r)`` makes its error), a
-    value that ``int`` rejects, or an error from the iterable itself.  That
-    error is returned beside the rows before it (None when every edge was
-    read), so the caller can still report an earlier offending edge first.
-    """
+
+def _read_edges(edges) -> tuple[np.ndarray, np.ndarray, Exception | None]:
+    """Every edge's entries in input order as one flat integer array, each
+    edge's length, and the error that stopped the reading (or None).  An
+    integer (E, w) ndarray is used as it is; otherwise entries are read
+    through ``int`` until an edge cannot be (``int`` rejects an entry, or the
+    iterable fails), so that an earlier offending edge is still reported first."""
     if isinstance(edges, np.ndarray) and edges.ndim == 2 and edges.dtype.kind in "iu":
-        if edges.shape[1] == r or len(edges) == 0:
-            return edges.reshape(-1, r), None
-        return np.empty((0, r), dtype=edges.dtype), wrong_length(edges[0], r)
-    flat: list[int] = []
-    stop = None
+        return edges.reshape(-1), np.full(len(edges), edges.shape[1], dtype=np.intp), None
+    flat, lengths, stop = [], [], None
     try:
         for e in edges:
             row = [int(v) for v in e]
-            if len(row) != r:
-                raise wrong_length(row, r)
             flat.extend(row)
+            lengths.append(len(row))
     except Exception as exc:
         stop = exc
-    try:
-        rows = np.array(flat, dtype=np.int64)
-    except OverflowError:  # a value past int64; the range check rejects it
-        rows = np.array(flat, dtype=object)
-    return rows.reshape(-1, r), stop
+    return _integers(flat), np.array(lengths, dtype=np.intp), stop
 
 
-def _not_a_set(edge, r: int) -> ValueError:
-    return ValueError(f"edge {list(edge)} is not a set of {r} distinct vertices")
+class _Faults(NamedTuple):
+    """Per edge: misshapen (length not r, or a set repeats an entry); an entry
+    below 1; an entry above the size (both exact for edges of length r); any of
+    these; and, for a duplicate, the first edge equal to it up to order (else -1)."""
+
+    shape: np.ndarray
+    low: np.ndarray
+    high: np.ndarray
+    bad: np.ndarray
+    first: np.ndarray
 
 
-def _not_r_indices(edge, r: int) -> ValueError:
-    expansion = sorted(int(v) for v in edge)
-    return ValueError(f"multiset {expansion} has multiplicity sum {len(expansion)} != r={r}")
-
-
-def _canonical_edge_array(n: int, r: int, edges, *,
-                          multisets: bool = False) -> tuple[np.ndarray, int]:
-    """Check edges and return them row-sorted, deduplicated and in lexicographic
-    order, with the number of duplicate edges dropped.
-
-    Hypergraph edges are r-sets on [1, n] and come back in the narrowest
-    unsigned dtype that holds n.  Pattern edges (``multisets``) may repeat
-    an index and come back as ``np.intp``.  The result never shares memory
-    with ``edges``.
-
-    The first offending edge in input order raises ValueError: one whose
-    length is not r, one with a repeated vertex (sets only), or one leaving
-    [1, n], checked in that order within an edge.  An edge that cannot be
-    read raises its reading error at its place in that order.  A set's
-    message shows its vertices as read through ``int`` (an ndarray row as
-    given), a multiset's its sorted expansion.  The checks run in the
-    input's dtype, so a negative value cannot wrap.
-    """
-    rows, stop = _edge_rows(edges, r, _not_r_indices if multisets else _not_a_set)
-    ordered = np.sort(rows, axis=1)
-    low = ordered[:, 0] < 1
-    bad = low | (ordered[:, -1] > n)
+def _check_edges(values: np.ndarray, lengths: np.ndarray, r: int, size: int,
+                 multisets: bool) -> tuple[np.ndarray | None, _Faults]:
+    """The edge rules over all edges at once: ``values`` holds every edge's
+    entries in input order, ``lengths`` their number per edge.  Each edge is
+    sorted, then flagged, in the input's dtype so that a negative entry
+    cannot wrap.  One stable ``np.lexsort`` of the sorted edges gives both
+    the canonical order and, among equal edges, the first in input order.
+    If no edge is at fault, the edges are narrowed to ``np.min_scalar_type(size)``
+    for that sort and returned deduplicated as the canonical rows; otherwise
+    the rows are None."""
+    count = len(lengths)
+    shape = lengths != r
+    if shape.any():
+        # Pad each column with its own value above every entry (and >= 1):
+        # an edge's entries then sort first, a pad neither repeats nor falls
+        # below 1, and edges of different lengths never compare equal.
+        width = max(int(lengths.max()), 1)
+        pads = np.arange(width, dtype=object) + int(values.max(initial=0)) + 1
+        block = np.tile(pads, (count, 1))
+        block[np.arange(width) < lengths[:, None]] = values
+    else:  # with no edge, one column: r may exceed any array dimension
+        block = values.reshape(count, r if count else 1)
+    block = np.sort(block, axis=1)
+    low = block[:, 0] < 1
+    high = block[:, min(r, block.shape[1]) - 1] > size  # an edge of length r ends there
     if not multisets:
-        repeated = (ordered[:, 1:] == ordered[:, :-1]).any(axis=1)
-        bad |= repeated
-    if bad.any():
-        k = int(bad.argmax())
-        edge = ordered[k].tolist()
-        if multisets:
-            if low[k]:
-                raise ValueError(f"indices must be >= 1, got {edge[0]}")
-            raise ValueError(f"multiset {edge} uses index {edge[-1]} > m={n}")
-        if repeated[k]:
-            raise _not_a_set(edges[k] if isinstance(edges, np.ndarray) else rows[k].tolist(), r)
-        raise ValueError(f"edge {edge} leaves the vertex range [1, {n}]")
-    if stop is not None:
-        raise stop
-    # An unsigned input (a hypergraph's rows) can hold indices past intp.
-    if multisets and n > np.iinfo(np.intp).max and ordered.size:
-        top = int(ordered.max())
-        if top > np.iinfo(np.intp).max:
-            raise OverflowError(f"index {top} does not fit in np.intp")
-    ordered = ordered.astype(np.intp if multisets else np.min_scalar_type(n), copy=False)
-    ordered = ordered[np.lexsort(ordered.T[::-1])]
-    fresh = np.ones(len(ordered), dtype=bool)
-    fresh[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
-    return ordered[fresh], len(ordered) - np.count_nonzero(fresh)
+        shape = shape | (block[:, 1:] == block[:, :-1]).any(axis=1)
+    bad = shape | low | high
+    valid = not bad.any()
+    if valid:
+        block = block.astype(np.min_scalar_type(size), copy=False)
+    order = np.lexsort(block.T[::-1])
+    block = block[order]
+    same = np.zeros(count, dtype=bool)
+    same[1:] = (block[1:] == block[:-1]).all(axis=1)
+    first = np.full(count, -1)
+    if same.any():
+        head = np.maximum.accumulate(np.where(same, 0, np.arange(count)))
+        first[order[same]] = order[head[same]]
+    return block[~same] if valid else None, _Faults(shape, low, high, bad, first)
 
 
 # ---------------------------------------------------------------------------
@@ -427,10 +426,6 @@ def _substitute(P: Pattern, picks, dtype) -> np.ndarray:
 # JSON documents: validation, loading and canonical serialization
 # ---------------------------------------------------------------------------
 
-# Per kind: the size field, the word for an entry, the message for a misshapen edge.
-_FIELDS = {Pattern: ("m", "index", "multiplicity sum {length} != r={r}"),
-           Hypergraph: ("n", "vertex", "must contain exactly {r} distinct vertices")}
-
 
 def _is_integer(value) -> bool:
     """An integer of a JSON document: ``bool`` is an ``int`` subclass, so
@@ -438,71 +433,62 @@ def _is_integer(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _check(doc, kind) -> tuple[list[str], np.ndarray | None]:
-    """Diagnostics for a raw (parsed-JSON) ``Pattern`` or ``Hypergraph``
-    document, and its edge entries in input order as one flat int64 array
-    (object past 2^63; None if the header fails).  One Python pass checks
-    the entries' JSON types; length, range, repeated vertices and duplicate
-    pattern edges are found in numpy, and messages are made only for the
-    edges flagged.
-    """
-    size_key, noun, bad_shape = _FIELDS[kind]
+def _read_document(doc, kind) -> tuple[list[str], np.ndarray, np.ndarray, np.ndarray]:
+    """A raw document's header faults (an object with ``r``, the size field
+    of ``kind`` and an ``edges`` list); if there are none, the one Python pass
+    over its edges: the entries of those that are lists of integers as one
+    flat array, every edge's length (0 for the others) and which are such lists."""
+    size_key = kind._size_key
     if not isinstance(doc, dict):
-        return [f"document must be an object, got {type(doc).__name__}"], None
+        return [f"document must be an object, got {type(doc).__name__}"], None, None, None
     diags = [f"missing field '{key}'" for key in ("r", size_key, "edges") if key not in doc]
+    if not diags:
+        r, size, edges = doc["r"], doc[size_key], doc["edges"]
+        if not _is_integer(r) or r < 2:
+            diags.append(f"r: must be an integer >= 2, got {r!r}")
+        if not _is_integer(size) or size < 1:
+            diags.append(f"{size_key}: must be an integer >= 1, got {size!r}")
+        if not isinstance(edges, list):
+            diags.append(f"edges: must be a list, got {type(edges).__name__}")
     if diags:
-        return diags, None
-    r, size, edges = doc["r"], doc[size_key], doc["edges"]
-    if not _is_integer(r) or r < 2:
-        diags.append(f"r: must be an integer >= 2, got {r!r}")
-    if not _is_integer(size) or size < 1:
-        diags.append(f"{size_key}: must be an integer >= 1, got {size!r}")
-    if not isinstance(edges, list):
-        diags.append(f"edges: must be a list, got {type(edges).__name__}")
-    if diags:
-        return diags, None
+        return diags, None, None, None
     flat, lengths, typed = [], [], []
-    for e in edges:
+    for e in doc["edges"]:
         ok = isinstance(e, list) and all(map(_is_integer, e))
         typed.append(ok)
         lengths.append(len(e) if ok else 0)
         flat.extend(e if ok else ())
-    try:
-        values = np.array(flat, dtype=np.int64)
-    except OverflowError:
-        values = np.array(flat, dtype=object)
-    typed, lengths = np.array(typed, dtype=bool), np.array(lengths, dtype=np.int64)
-    flagged = ~typed | (lengths != r)
-    flagged[np.repeat(np.arange(len(edges)), lengths)[(values < 1) | (values > size)]] = True
-    repeated = np.zeros(len(edges), dtype=bool)
-    first = np.full(len(edges), -1)  # for a duplicate, the edge it repeats
-    starts = np.cumsum(lengths) - lengths
-    for width in np.unique(lengths[typed]).tolist():
-        members = np.flatnonzero(typed & (lengths == width))
-        block = np.sort(values[starts[members, None] + np.arange(width)], axis=1)
-        if kind is Hypergraph:
-            repeated[members] = (block[:, 1:] == block[:, :-1]).any(axis=1)
-            continue
-        order = np.lexsort([members, *block.T[::-1]])  # equal rows stay in input order
-        block = block[order]
-        same = np.r_[False, (block[1:] == block[:-1]).all(axis=1)]
-        head = np.maximum.accumulate(np.where(same, 0, np.arange(len(block))))
-        first[members[order[same]]] = members[order[head[same]]]
-    for k in np.flatnonzero(flagged | repeated | (first >= 0)).tolist():
+    return diags, _integers(flat), np.array(lengths, dtype=np.intp), np.array(typed, dtype=bool)
+
+
+def _check(doc, kind) -> list[str]:
+    """Diagnostics for a raw (parsed-JSON) ``Pattern`` or ``Hypergraph`` document:
+    its header's faults, or else those of the edges ``_check_edges`` flags, in order."""
+    diags, values, lengths, typed = _read_document(doc, kind)
+    if diags:
+        return diags
+    r, size, edges = doc["r"], doc[kind._size_key], doc["edges"]
+    members = np.flatnonzero(typed)
+    _, faults = _check_edges(values, lengths[members], r, size, kind._multisets)
+    flagged = ~typed
+    flagged[members] = faults.bad
+    first = np.full(len(edges), -1)  # for a duplicate edge, the edge it repeats
+    first[members] = np.where(faults.first >= 0, members[faults.first], -1)
+    for k in np.flatnonzero(flagged | (first >= 0)).tolist():
         e, loc = edges[k], f"edges[{k}]"
         if not typed[k]:
             diags.append(f"{loc}: must be a list of integers")
             continue
-        if len(e) != r or repeated[k]:
-            diags.append(f"{loc}: " + bad_shape.format(length=len(e), r=r))
+        if len(e) != r or (not kind._multisets and len(set(e)) < r):
+            diags.append(f"{loc}: " + kind._bad_shape.format(length=len(e), r=r))
         for v in e:
             if v < 1:
-                diags.append(f"{loc}: {noun} {v} < 1")
+                diags.append(f"{loc}: {kind._noun} {v} < 1")
             elif v > size:
-                diags.append(f"{loc}: {noun} {v} > {size_key}={size}")
-        if first[k] >= 0:
+                diags.append(f"{loc}: {kind._noun} {v} > {kind._size_key}={size}")
+        if first[k] >= 0 and kind._multisets:
             diags.append(f"warning: {loc} duplicates edges[{first[k]}]")
-    return diags, values
+    return diags
 
 
 def validate_pattern_document(doc) -> list[str]:
@@ -511,23 +497,22 @@ def validate_pattern_document(doc) -> list[str]:
     Duplicate edges are reported with a ``warning:`` prefix: they are legal
     on load (deduplicated with a warning) but noted here.
     """
-    return _check(doc, Pattern)[0]
+    return _check(doc, Pattern)
 
 
 def validate(P: Pattern) -> list[str]:
     """Re-check a constructed pattern's invariants; empty report iff valid."""
-    return _check(_document(P), Pattern)[0]
+    return _check(_document(P), Pattern)
 
 
 def validate_hypergraph_document(doc) -> list[str]:
     """Diagnostics for a raw hypergraph document; empty iff valid."""
-    return _check(doc, Hypergraph)[0]
+    return _check(doc, Hypergraph)
 
 
 def _document(obj: Pattern | Hypergraph) -> dict:
     """The JSON document of a pattern or hypergraph file, as a dict."""
-    size_key = _FIELDS[type(obj)][0]
-    return {"r": obj.r, size_key: getattr(obj, size_key), "edges": obj.rows.tolist()}
+    return {"r": obj.r, obj._size_key: obj._size, "edges": obj.rows.tolist()}
 
 
 def _dumps(doc: dict, pretty: bool) -> str:
@@ -558,12 +543,25 @@ def _read(path) -> dict:
 
 
 def _from_doc(doc, kind):
-    """Build a ``kind`` from a raw document, or raise FormatError listing every fault."""
-    diags, values = _check(doc, kind)
-    hard = [d for d in diags if not d.startswith("warning:")]
-    if hard:
-        raise FormatError(f"invalid {kind.__name__.lower()} document: " + "; ".join(hard))
-    return kind(doc[_FIELDS[kind][0]], doc["r"], values.reshape(-1, doc["r"]))
+    """Build a ``kind`` from a raw document, or raise FormatError listing every fault.
+
+    A document whose edges are all lists of r integers goes straight to the
+    constructor, which checks it once; the diagnostics are built only if
+    that fails.  An index past ``np.intp`` is bad input too."""
+    invalid = f"invalid {kind.__name__.lower()} document: "
+    diags, values, lengths, typed = _read_document(doc, kind)
+    rejected = None
+    if not diags and typed.all() and (lengths == doc["r"]).all():
+        try:
+            return kind(doc[kind._size_key], doc["r"], values.reshape(-1, doc["r"]))
+        except OverflowError as exc:
+            raise FormatError(invalid + str(exc)) from exc
+        except ValueError as exc:
+            rejected = exc
+    hard = [d for d in _check(doc, kind) if not d.startswith("warning:")]
+    # With no rule broken, the constructor's own error (a numpy limit, such as r
+    # past an array dimension) stands.
+    raise FormatError(invalid + "; ".join(hard)) if hard else rejected
 
 
 def pattern_from_json(text: str) -> Pattern:

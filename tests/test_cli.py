@@ -59,6 +59,16 @@ def test_lambda_parse_failure_exits_2(capsys, tmp_path):
     assert main(["lambda", str(bad)]) == 2
 
 
+def test_lambda_index_past_intp_exits_2(capsys, tmp_path):
+    huge = tmp_path / "huge.json"
+    huge.write_text('{"r":2,"m":1180591620717411303424,"edges":[[1,36893488147419103232]]}')
+    assert main(["lambda", str(huge)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("patternlab: invalid pattern document: "
+                            "index 36893488147419103232 does not fit in np.intp\n")
+
+
 def test_grid_cap_exits_3(capsys, tmp_path):
     path = tmp_path / "big.json"
     pl.save_pattern(pl.complete_pattern(9, 3), path)
@@ -289,6 +299,9 @@ def test_check_sequence_bad_eps_exits_2(capsys, tmp_path):
     ("[null]", "eps[0] must be a number, got null"),
     ("[0.1, null]", "eps[1] must be a number, got null"),
     ("{}", "eps must be a number, got {}"),
+    ("NaN", "eps must be finite, got NaN"),
+    ("[0.1, Infinity]", "eps[1] must be finite, got Infinity"),
+    ("[-Infinity]", "eps[0] must be finite, got -Infinity"),
 ])
 def test_check_sequence_eps_entries_must_be_numbers(capsys, tmp_path, text, want):
     seq = _write_sequence(tmp_path, [pl.offdiagonal_pattern(3, 3)])
@@ -299,6 +312,18 @@ def test_check_sequence_eps_entries_must_be_numbers(capsys, tmp_path, text, want
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert captured.err == f"patternlab: eps file: {want}\n"
+
+
+@pytest.mark.parametrize("lambda0", ["nan", "inf", "-inf"])
+def test_check_sequence_lambda0_must_be_finite(capsys, tmp_path, lambda0):
+    seq = _write_sequence(tmp_path, [pl.offdiagonal_pattern(3, 3)])
+    eps = tmp_path / "eps.json"
+    eps.write_text("0.01")
+    code = main(["check-sequence", str(seq), "--k", "2", f"--lambda0={lambda0}",
+                 "--eps-file", str(eps)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"patternlab: --lambda0 must be a finite number, got {float(lambda0)}\n"
 
 
 # ---------------------------------------------------------------------------

@@ -319,6 +319,7 @@ def test_hypergraph_accepts_no_edges():
     (4, 3, [[1, 2, 3, 4], [1, 1, 2]]),  # too long, before a repeated vertex
     (4, 3, [[1, 1, 2], [1, 2]]),  # repeated vertex before a short edge
     (4, 3, [[1, 2, 5], [1, 2, 3, 4]]),  # out of range before a long edge
+    (4, 3, [[1, 2, 3], [1, 2, 3, 4]]),  # a valid edge before a long edge
 ])
 def test_hypergraph_errors_match_reference(n, r, edges):
     with pytest.raises(ValueError) as want:
@@ -435,6 +436,7 @@ def test_pattern_names_first_offending_edge_in_input_order():
     (2, 3, [[1, 1, 2], []]),  # an empty edge
     (2, 3, [[1, 1, 5], ["x", 1, 1]]),  # index > m before a value int rejects
     (2, 3, [["x", 1, 1], [1, 1, 5]]),  # a value int rejects comes first
+    (2, 3, [[1, 1, 2], [1, 1, 2, 2]]),  # a valid edge before a long edge
 ])
 def test_pattern_errors_match_reference(m, r, edges):
     forms = [lambda: edges, lambda: tuple(tuple(e) for e in edges),
@@ -608,33 +610,80 @@ def test_document_check_matches_reference(case):
         message = f"invalid {kind.__name__.lower()} document: " + "; ".join(hard)
         assert loaded == ((FormatError, message), [])
         return
-    assert loaded == _outcome(lambda: kind(doc[size_key], doc["r"], doc["edges"]))
+    built = _outcome(lambda: kind(doc[size_key], doc["r"], doc["edges"]))
+    if isinstance(built[0], tuple) and built[0][0] is OverflowError:  # bad input on load
+        built = ((FormatError, f"invalid {kind.__name__.lower()} document: {built[0][1]}"), [])
+    assert loaded == built
     if isinstance(loaded[0], Pattern):
         assert pl.validate(loaded[0]) == reference(json.loads(pl.pattern_to_json(loaded[0]))) == []
 
 
-def test_loading_hands_the_checked_array_to_the_constructor(tmp_path, monkeypatch):
-    seen = []
-    edge_rows = patterns._edge_rows
-
-    def spy(edges, r, wrong_length):
-        seen.append(edges)
-        return edge_rows(edges, r, wrong_length)
-
-    monkeypatch.setattr(patterns, "_edge_rows", spy)
+def test_each_valid_load_checks_the_edges_once(tmp_path, monkeypatch):
+    calls = {"_read_edges": [], "_check_edges": []}
+    for name in calls:
+        def spy(*args, name=name, real=getattr(patterns, name)):
+            calls[name].append(args)
+            return real(*args)
+        monkeypatch.setattr(patterns, name, spy)
     pattern_text = '{"r":3,"m":2,"edges":[[2,1,1],[1,2,2],[1,1,2]]}'
     hypergraph_text = '{"r":2,"n":4,"edges":[[2,1],[1,3],[4,2]]}'
     (tmp_path / "p.json").write_text(pattern_text)
     (tmp_path / "g.json").write_text(hypergraph_text)
-    with pytest.warns(UserWarning, match="deduplicated"):
-        loaded = [pl.pattern_from_json(pattern_text), pl.load_pattern(tmp_path / "p.json"),
-                  pl.load_any(tmp_path / "p.json")]
-    loaded += [pl.hypergraph_from_json(hypergraph_text), pl.load_hypergraph(tmp_path / "g.json"),
-               pl.load_any(tmp_path / "g.json")]
-    assert [type(obj) for obj in loaded] == [Pattern] * 3 + [Hypergraph] * 3
-    assert len(seen) == 6
-    for edges in seen:  # the array fast path: no per-value int() loop
-        assert isinstance(edges, np.ndarray) and edges.ndim == 2 and edges.dtype == np.int64
+    loads = [(Pattern, lambda: pl.pattern_from_json(pattern_text)),
+             (Pattern, lambda: pl.load_pattern(tmp_path / "p.json")),
+             (Pattern, lambda: pl.load_any(tmp_path / "p.json")),
+             (Hypergraph, lambda: pl.hypergraph_from_json(hypergraph_text)),
+             (Hypergraph, lambda: pl.load_hypergraph(tmp_path / "g.json")),
+             (Hypergraph, lambda: pl.load_any(tmp_path / "g.json"))]
+    for kind, load in loads:
+        for seen in calls.values():
+            seen.clear()
+        loaded, _ = _warnings_of(load)
+        assert type(loaded) is kind and len(calls["_check_edges"]) == 1
+        [(edges,)] = calls["_read_edges"]  # the array path: no per-value int() loop
+        assert isinstance(edges, np.ndarray) and edges.dtype == np.int64
+
+
+@st.composite
+def integer_edge_lists(draw):
+    """r, a size and edges of integers below 2^63, some of the wrong length,
+    out of range, with a repeated entry or repeating another edge."""
+    r = draw(st.integers(2, 4))
+    size = draw(st.one_of(st.integers(1, 6), st.integers(7, 2**63 - 1)))
+    entry = st.integers(1, min(size, 8)) | st.sampled_from(
+        [-2**63, -1, 0, size, size + 1, 2**63 - 1])
+    edge = st.lists(entry, min_size=r, max_size=r) | st.lists(entry, max_size=r + 2)
+    edges = draw(st.lists(edge, max_size=8))
+    if edges:
+        edges += [draw(st.permutations(e)) for e in draw(st.lists(st.sampled_from(edges),
+                                                                  max_size=3))]
+    return r, size, edges
+
+
+@settings(max_examples=300)
+@given(integer_edge_lists())
+def test_constructor_and_document_check_agree(case):
+    r, size, edges = case
+    for kind, validate, size_key in ((Pattern, pl.validate_pattern_document, "m"),
+                                     (Hypergraph, pl.validate_hypergraph_document, "n")):
+        hard = [d for d in validate({"r": r, size_key: size, "edges": edges})
+                if not d.startswith("warning:")]
+        built, _ = _outcome(lambda: kind(size, r, edges))
+        assert isinstance(built, tuple) == bool(hard)
+        if isinstance(built, tuple):
+            assert built[0] is ValueError
+
+
+def test_load_rejects_indices_past_intp(tmp_path):
+    text = '{"r":2,"m":1180591620717411303424,"edges":[[1,36893488147419103232]]}'
+    path = tmp_path / "huge.json"
+    path.write_text(text)
+    want = "invalid pattern document: index 36893488147419103232 does not fit in np.intp"
+    for load in (lambda: pl.pattern_from_json(text), lambda: pl.load_pattern(path),
+                 lambda: pl.load_any(path)):
+        with pytest.raises(FormatError) as got:
+            load()
+        assert str(got.value) == want
 
 
 # ---------------------------------------------------------------------------
