@@ -64,24 +64,18 @@ from .algebra import (
     multiset_power_gap,
     nonjump_catalog,
     union_lambda_suite,
-    union_on_index,
     union_on_set,
     verify_union_lambda,
 )
 from .blowups import (
     ConstructionCheck,
-    LimitCheckReport,
     Partition,
-    PerTermCheck,
     SequenceCheckReport,
-    apportion,
     blowup,
     blowup_density,
-    blowup_density_limit_check,
     blowup_edge_count,
     construction_lagrangian_check,
     construction_suite,
     density,
-    profile,
     sequence_check,
 )

@@ -36,7 +36,6 @@ __all__ = [
     "ReducedObjective",
     "UnionLambdaCheck",
     "CatalogEntry",
-    "union_on_index",
     "union_on_set",
     "eval_decomposition",
     "eval_phi",
@@ -75,13 +74,6 @@ class UnionLabeling:
         """New indices of the block glued into host index i."""
         return tuple(k + 1 for k, o in enumerate(self.origin)
                      if o[0] == "block" and o[1] == i)
-
-    def base_image(self, j: int) -> int:
-        """New index of a host index j outside the glue set."""
-        for k, o in enumerate(self.origin):
-            if o[0] == "base" and o[1] == j:
-                return k + 1
-        raise ValueError(f"host index {j} is glued or out of range")
 
     def aggregate(self, weights: np.ndarray) -> np.ndarray:
         """Collapse a glued-point weight vector to host dimension m1 by
@@ -156,11 +148,6 @@ def union_on_set(P1: Pattern, P2: Pattern, glue,
     edges = np.concatenate([P2.rows + (block[j][0] - 1) for j in T if j not in diagonals]
                            + [_substitute(P1, refill, np.intp)])
     return Pattern(labeling.new_m, P1.r, edges), labeling
-
-
-def union_on_index(P1: Pattern, P2: Pattern, i: int) -> tuple[Pattern, UnionLabeling]:
-    """Glue a copy of P2 into the single index i of P1."""
-    return union_on_set(P1, P2, (int(i),))
 
 
 # ---------------------------------------------------------------------------
@@ -288,16 +275,6 @@ class UnionLambdaCheck:
     gap: float
     new_m: int
     converged: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "union_value": self.union_value,
-            "reduced_value": self.reduced_value,
-            "lambda2": self.lambda2,
-            "gap": self.gap,
-            "new_m": self.new_m,
-            "converged": self.converged,
-        }
 
 
 def verify_union_lambda(P1: Pattern, P2: Pattern, glue,

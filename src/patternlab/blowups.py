@@ -14,30 +14,24 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import CapExceeded
-from .lagrangian import (OptimizerConfig, eval_lagrange, lagrangian_of_hypergraph,
-                         maximize, _as_weights)
-from .patterns import (Hypergraph, Multiset, Pattern, _runs, _substitute,
-                       induced_subpattern, random_pattern)
+from .lagrangian import OptimizerConfig, lagrangian_of_hypergraph, maximize
+from .patterns import (Hypergraph, Pattern, _runs, _substitute, induced_subpattern,
+                       random_pattern)
 
 __all__ = [
     "Partition",
-    "profile",
     "blowup",
     "blowup_edge_count",
     "density",
     "blowup_density",
-    "apportion",
-    "LimitCheckReport",
-    "blowup_density_limit_check",
     "ConstructionCheck",
     "construction_lagrangian_check",
     "construction_suite",
-    "PerTermCheck",
     "SequenceCheckReport",
     "sequence_check",
 ]
@@ -83,18 +77,6 @@ class Partition:
     @property
     def n(self) -> int:
         return sum(len(p) for p in self.parts)
-
-
-def profile(S: Iterable[int], partition: Partition) -> Multiset:
-    """Class profile of a vertex set: index i with multiplicity |S ∩ class_i|."""
-    vertices = set(int(v) for v in S)
-    expansion: list[int] = []
-    for i, part in enumerate(partition.parts, start=1):
-        expansion.extend([i] * len(vertices & set(part)))
-    if len(expansion) != len(vertices):
-        missing = vertices - set(itertools.chain.from_iterable(partition.parts))
-        raise ValueError(f"vertices {sorted(missing)} are outside the partition")
-    return Multiset(expansion)
 
 
 def blowup(P: Pattern, sizes: Sequence[int], *,
@@ -152,78 +134,6 @@ def blowup_density(P: Pattern, sizes: Sequence[int]) -> float:
     return blowup_edge_count(P, sizes) / math.comb(n, P.r)
 
 
-def apportion(x, total: int) -> tuple[int, ...]:
-    """Largest-remainder rounding of total * x to integers summing to total.
-
-    Ties in the remainders go to the lowest index, so the result is
-    deterministic.
-    """
-    w = np.asarray(x, dtype=float)
-    total = int(total)
-    if total < 0:
-        raise ValueError("total must be >= 0")
-    raw = w * total
-    base = np.floor(raw).astype(int)
-    left = total - int(base.sum())
-    order = sorted(range(w.size), key=lambda i: (-(raw[i] - base[i]), i))
-    for i in order[:left]:
-        base[i] += 1
-    return tuple(int(v) for v in base)
-
-
-@dataclass
-class LimitCheckReport:
-    """Blowup densities along a ladder of sizes against the polynomial value."""
-
-    lambda_value: float
-    rows: list[dict]
-    monotone_decreasing: bool
-    o_one_over_n: bool
-
-    @property
-    def ok(self) -> bool:
-        return self.monotone_decreasing and self.o_one_over_n
-
-    def to_dict(self) -> dict:
-        return {
-            "lambda_value": self.lambda_value,
-            "rows": self.rows,
-            "monotone_decreasing": self.monotone_decreasing,
-            "o_one_over_n": self.o_one_over_n,
-            "ok": self.ok,
-        }
-
-
-def blowup_density_limit_check(P: Pattern, x, scales: Sequence[int], *,
-                               cap: int = MATERIALIZE_CAP) -> LimitCheckReport:
-    """Check that blowup densities at sizes ~ N*x approach the polynomial value.
-
-    Uses exact closed-form counts, largest-remainder apportionment of N*x,
-    and reports the deviation per N, whether it decreases along the ladder,
-    and whether deviation * N stays bounded (the empirical 1/N rate).
-    """
-    w = _as_weights(P.m, x)
-    lam = eval_lagrange(P, w)
-    rows = []
-    deviations = []
-    for N in scales:
-        N = int(N)
-        if N < P.r:
-            raise ValueError(f"scale {N} is below r={P.r}")
-        if math.comb(N, P.r) > cap:
-            raise CapExceeded(f"C({N}, {P.r}) exceeds cap {cap}")
-        sizes = apportion(w, N)
-        d = blowup_density(P, sizes)
-        dev = abs(d - lam)
-        deviations.append(dev)
-        rows.append({"n": N, "sizes": list(sizes), "density": d, "deviation": dev})
-    monotone = all(b <= a + 1e-12 for a, b in zip(deviations, deviations[1:]))
-    constants = [dev * row["n"] for dev, row in zip(deviations, rows)]
-    bound = 2.0 * max(constants[0], 1e-9)
-    o_one_over_n = all(c <= bound for c in constants)
-    return LimitCheckReport(lam, rows, monotone, o_one_over_n)
-
-
 @dataclass
 class ConstructionCheck:
     """A blowup's Lagrangian never exceeds the pattern's."""
@@ -233,15 +143,6 @@ class ConstructionCheck:
     slack: float
     ok: bool
     converged: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "pattern_value": self.pattern_value,
-            "construction_value": self.construction_value,
-            "slack": self.slack,
-            "ok": self.ok,
-            "converged": self.converged,
-        }
 
 
 def construction_lagrangian_check(P: Pattern, sizes: Sequence[int],

@@ -233,7 +233,11 @@ def _cmd_check_sequence(args) -> tuple[dict, int, list[str]]:
         where = f"eps[{k}]" if entries is eps else "eps"
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise FormatError(f"eps file: {where} must be a number, got {json.dumps(value)}")
-        if isinstance(value, float) and not math.isfinite(value):  # json reads NaN and Infinity
+        try:
+            value = float(value)
+        except OverflowError:  # json reads integers of any length
+            raise FormatError(f"eps file: {where} is too large for a float") from None
+        if not math.isfinite(value):  # json reads NaN and Infinity
             raise FormatError(f"eps file: {where} must be finite, got {json.dumps(value)}")
     cfg = _config_of(args)
     report = sequence_check(patterns, args.k, args.lambda0, eps, cfg)

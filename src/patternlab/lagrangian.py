@@ -8,8 +8,9 @@ restricted to the standard simplex (nonnegative weights summing to 1).  Its
 maximum over the simplex, the Lagrangian of P, equals the supremum of edge
 densities over large blowups of P.  Global maximization is NP-hard in
 general (it contains max-clique through the Motzkin-Straus identity), so
-:func:`maximize` returns a certified lower bound from multistart projected
-gradient ascent, with the KKT stationarity residual reported, and
+:func:`maximize` reports the best point that multistart projected gradient
+ascent finds, with the polynomial's float value there (a lower bound on the
+Lagrangian only up to float rounding) and the KKT stationarity residual, and
 :func:`grid_oracle` provides exact rational grid maxima as independent
 ground truth at desk scale: one integer numpy pass over the
 denominator-d grid, enumerated by stars and bars in bounded chunks.
@@ -92,10 +93,6 @@ class SimplexPoint:
     def weights(self) -> np.ndarray:
         return self._w
 
-    @property
-    def dim(self) -> int:
-        return self._w.size
-
     def __len__(self) -> int:
         return self._w.size
 
@@ -143,8 +140,8 @@ class OptimizerConfig:
 class OptimizerReport:
     """Outcome of a simplex maximization.
 
-    value is a certified lower bound on the true maximum (it is the exact
-    polynomial value at argmax, up to float rounding).  support lists the
+    value is the polynomial's float value at argmax, so it is a lower bound
+    on the true maximum only up to float rounding.  support lists the
     1-based coordinates of argmax above the support threshold.  oracle_gap
     is value minus an exact grid-oracle value when one was requested.
     """
@@ -626,9 +623,10 @@ def _maximize_arrays(poly: _Poly, cfg: OptimizerConfig):
 def maximize(P: Pattern, cfg: OptimizerConfig | None = None) -> OptimizerReport:
     """Best density-polynomial value found over the simplex.
 
-    The report's value is a certified lower bound on the Lagrangian of P
-    (it is the polynomial evaluated at the reported point); converged means
-    the KKT stationarity residual met the acceptance threshold.
+    The report's value is the polynomial's float value at the reported
+    point, so it is a lower bound on the Lagrangian of P only up to float
+    rounding; converged means the KKT stationarity residual met the
+    acceptance threshold.
     """
     return _maximize_poly(_polynomial(P), cfg or OptimizerConfig())
 
@@ -768,7 +766,7 @@ class MinimalityReport:
 
     minimal is true when every removal drops the value by more than the
     margin tolerance; margins[i] = value(P) - value(P without i).  argmax
-    is the maximizer of P itself (not part of the JSON form).
+    is the maximizer of P itself.
     """
 
     minimal: bool
@@ -777,15 +775,6 @@ class MinimalityReport:
     margin_tolerance: float
     converged: bool
     argmax: SimplexPoint
-
-    def to_dict(self) -> dict:
-        return {
-            "minimal": self.minimal,
-            "value": self.value,
-            "margins": {str(i): g for i, g in self.margins.items()},
-            "margin_tolerance": self.margin_tolerance,
-            "converged": self.converged,
-        }
 
 
 def is_minimal(P: Pattern, cfg: OptimizerConfig | None = None, *,

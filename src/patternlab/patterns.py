@@ -75,25 +75,6 @@ class Multiset:
     def expansion(self) -> tuple[int, ...]:
         return self._expansion
 
-    @property
-    def size(self) -> int:
-        return len(self._expansion)
-
-    @property
-    def support(self) -> frozenset[int]:
-        return frozenset(self._expansion)
-
-    def multiplicity(self, i: int, m: int | None = None) -> int:
-        """Number of copies of index i; 0 when absent.
-
-        When m is given, i is range-checked against {1, ..., m}.
-        """
-        i = int(i)
-        if i < 1 or (m is not None and i > m):
-            bound = f"[1, {m}]" if m is not None else "[1, inf)"
-            raise ValueError(f"index {i} out of range {bound}")
-        return self._expansion.count(i)
-
     def counts(self) -> dict[int, int]:
         """Mapping index -> positive multiplicity."""
         return dict(Counter(self._expansion))
@@ -205,12 +186,6 @@ class Pattern(_EdgeArray):
         if self._edges is None:
             self._edges = tuple(map(Multiset, self.rows.tolist()))
         return self._edges
-
-    def edges_with_multiplicity(self, i: int, s: int) -> tuple[Multiset, ...]:
-        """Edges in which index i appears exactly s times."""
-        if not 1 <= i <= self.m:
-            raise ValueError(f"index {i} out of range [1, {self.m}]")
-        return tuple(e for e in self.edges if e.multiplicity(i) == s)
 
     def __repr__(self) -> str:
         return f"Pattern(m={self.m}, r={self.r}, edges={self.rows.tolist()})"

@@ -22,18 +22,18 @@ from conftest import all_multisets, random_simplex
 
 
 def test_union_heavy_edge_into_itself(p112):
-    U, lab = pl.union_on_index(p112, p112, 2)
+    U, lab = pl.union_on_set(p112, p112, (2,))
     assert U == Pattern(3, 3, [[2, 2, 3], [1, 1, 2], [1, 1, 3]])
     assert lab.new_m == 3
     assert lab.block(2) == (2, 3)
-    assert lab.base_image(1) == 1
+    assert lab.origin[0] == ("base", 1)
 
 
 def test_union_with_empty_single_index_inner(p112, pb):
     empty = Pattern(1, 3, [])
     for P in (p112, pb):
         for i in (1, 2):
-            U, _ = pl.union_on_index(P, empty, i)
+            U, _ = pl.union_on_set(P, empty, (i,))
             assert U == P
 
 
@@ -68,7 +68,7 @@ def test_union_matches_membership_oracle(rng):
         i = int(rng.integers(1, m1 + 1))
         P1 = pl.random_pattern(rng, m1, 3)
         P2 = pl.random_pattern(rng, m2, 3)
-        U, _ = pl.union_on_index(P1, P2, i)
+        U, _ = pl.union_on_set(P1, P2, (i,))
         assert {e.expansion for e in U.edges} == _union_oracle(P1, P2, i)
 
 
@@ -79,15 +79,15 @@ def test_union_clause_c_stars_and_bars_count():
         for m2 in (1, 2, 3, 4):
             host = Pattern(2, 3, [[1] * (3 - s) + [2] * s])
             inner = Pattern(m2, 3, [])
-            U, _ = pl.union_on_index(host, inner, 2)
+            U, _ = pl.union_on_set(host, inner, (2,))
             assert U.edge_count == math.comb(m2 + s - 1, s)
 
 
 def test_union_errors(p112):
     with pytest.raises(ValueError):
-        pl.union_on_index(p112, Pattern(2, 2, [[1, 2]]), 1)  # uniformity mismatch
+        pl.union_on_set(p112, Pattern(2, 2, [[1, 2]]), (1,))  # uniformity mismatch
     with pytest.raises(ValueError):
-        pl.union_on_index(p112, p112, 3)  # glue out of range
+        pl.union_on_set(p112, p112, (3,))  # glue out of range
     with pytest.raises(ValueError):
         pl.union_on_set(p112, p112, ())  # empty glue set
 
@@ -97,7 +97,8 @@ def test_union_set_singleton_equals_single(rng):
         P1 = pl.random_pattern(rng, 3, 3)
         P2 = pl.random_pattern(rng, 2, 3)
         i = int(rng.integers(1, 4))
-        assert pl.union_on_set(P1, P2, (i,))[0] == pl.union_on_index(P1, P2, i)[0]
+        # a bare index glues like the one-element set
+        assert pl.union_on_set(P1, P2, (i,))[0] == pl.union_on_set(P1, P2, i)[0]
 
 
 def test_union_set_index_count(rng):
@@ -125,7 +126,7 @@ def test_union_set_equals_iterated_single_unions(rng):
         direct, _ = pl.union_on_set(P1, P2, T)
         iterated = P1
         for i in sorted(T, reverse=True):
-            iterated, _ = pl.union_on_index(iterated, P2, i)
+            iterated, _ = pl.union_on_set(iterated, P2, (i,))
         assert iterated == direct
 
 
@@ -250,7 +251,7 @@ def test_decomposition_identity_random(rng):
 def test_decomposition_off_block_support(p112):
     # all weight outside the glued block: the inner term vanishes and the
     # left side reduces to the host polynomial
-    U, lab = pl.union_on_index(p112, p112, 2)
+    U, lab = pl.union_on_set(p112, p112, (2,))
     x = np.array([1.0, 0.0, 0.0])
     lhs, rhs = pl.eval_decomposition(p112, p112, (2,), x)
     assert lhs == rhs == pl.eval_lagrange(p112, lab.aggregate(x))
@@ -421,8 +422,8 @@ def test_verify_union_lambda_structure_independence(rng, pb):
     # two inner patterns with the same Lagrangian give the same glued value
     inner = Pattern(3, 3, [[1, 1, 2], [2, 3, 3], [1, 2, 3]])
     relabeled = pl.relabel_pattern(inner, [2, 3, 1])
-    va = pl.maximize(pl.union_on_index(pb, inner, 2)[0]).value
-    vb = pl.maximize(pl.union_on_index(pb, relabeled, 2)[0]).value
+    va = pl.maximize(pl.union_on_set(pb, inner, (2,))[0]).value
+    vb = pl.maximize(pl.union_on_set(pb, relabeled, (2,))[0]).value
     assert abs(va - vb) < 1e-9
 
 

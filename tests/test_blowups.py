@@ -16,6 +16,20 @@ from patternlab.errors import CapExceeded
 # ---------------------------------------------------------------------------
 
 
+def profile(S, partition):
+    """Class profile of a vertex set: index i with multiplicity |S ∩ class_i|.
+
+    The reference the blowup edge tests check edges against."""
+    vertices = set(int(v) for v in S)
+    expansion: list[int] = []
+    for i, part in enumerate(partition.parts, start=1):
+        expansion.extend([i] * len(vertices & set(part)))
+    if len(expansion) != len(vertices):
+        missing = vertices - set(itertools.chain.from_iterable(partition.parts))
+        raise ValueError(f"vertices {sorted(missing)} are outside the partition")
+    return Multiset(expansion)
+
+
 def test_partition_from_sizes():
     part = Partition.from_sizes((2, 0, 3))
     assert part.parts == ((1, 2), (), (3, 4, 5))
@@ -32,18 +46,18 @@ def test_partition_invariants():
 
 def test_profile_within_one_part():
     part = Partition.from_sizes((4, 2))
-    assert pl.profile({1, 2, 3}, part) == Multiset([1, 1, 1])
+    assert profile({1, 2, 3}, part) == Multiset([1, 1, 1])
 
 
 def test_profile_split():
     part = Partition.from_sizes((2, 1))
-    assert pl.profile({1, 2, 3}, part) == Multiset([1, 1, 2])
+    assert profile({1, 2, 3}, part) == Multiset([1, 1, 2])
 
 
 def test_profile_outside_partition():
     part = Partition.from_sizes((2, 1))
     with pytest.raises(ValueError):
-        pl.profile({1, 4, 2}, part)
+        profile({1, 4, 2}, part)
 
 
 def test_profile_permutation_equivariant(rng):
@@ -58,9 +72,9 @@ def test_profile_permutation_equivariant(rng):
     part2 = Partition.from_sizes(tuple(len(p) for p in permuted.parts))
     for _ in range(20):
         S = rng.choice(range(1, 7), size=3, replace=False)
-        prof1 = pl.profile(S, part)
+        prof1 = profile(S, part)
         S2 = {relabel[int(v)] for v in S}
-        prof2 = pl.profile(S2, part2)
+        prof2 = profile(S2, part2)
         want = sorted(perm.index(i) + 1 for i in prof1.expansion)
         assert list(prof2.expansion) == want
 
@@ -88,7 +102,7 @@ def test_blowup_edges_have_profiles_in_pattern(rng):
         G, part = pl.blowup(P, sizes)
         allowed = set(P.edges)
         for e in G.edges:
-            assert pl.profile(e, part) in allowed
+            assert profile(e, part) in allowed
 
 
 def test_blowup_complete_against_brute_force(rng):
@@ -104,7 +118,7 @@ def test_blowup_complete_against_brute_force(rng):
         G, part = pl.blowup(P, sizes)
         allowed = set(P.edges)
         brute = {S for S in itertools.combinations(range(1, n + 1), 3)
-                 if pl.profile(S, part) in allowed}
+                 if profile(S, part) in allowed}
         assert set(G.edges) == brute
 
 
@@ -241,50 +255,25 @@ def test_blowup_round_trip_never_builds_edge_tuples(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# Apportionment
-# ---------------------------------------------------------------------------
-
-
-def test_apportion_sums_exactly():
-    for total in (1, 7, 30, 100):
-        sizes = pl.apportion([2 / 3, 1 / 3], total)
-        assert sum(sizes) == total
-
-
-def test_apportion_largest_remainder():
-    assert pl.apportion([2 / 3, 1 / 3], 30) == (20, 10)
-    assert pl.apportion([0.9, 0.1], 3) == (3, 0)
-    # tie in remainders goes to the lowest index
-    assert pl.apportion([0.5, 0.5], 3) == (2, 1)
-
-
-# ---------------------------------------------------------------------------
-# Density limit checks
+# Density limit
 # ---------------------------------------------------------------------------
 
 
 def test_limit_check_heavy_edge(p112):
-    rep = pl.blowup_density_limit_check(p112, [2 / 3, 1 / 3], [15, 30, 45, 60])
-    by_n = {row["n"]: row for row in rep.rows}
-    assert rep.lambda_value == pytest.approx(4 / 9, abs=1e-12)
-    assert by_n[30]["deviation"] < 0.05
-    assert rep.monotone_decreasing
-    assert rep.o_one_over_n
-    assert rep.ok
-
-
-def test_limit_check_degenerate_rounding(p112):
-    # a class that rounds to zero kills every profile that needs it
-    rep = pl.blowup_density_limit_check(p112, [0.9, 0.1], [3])
-    assert rep.rows[0]["sizes"] == [3, 0]
-    assert rep.rows[0]["density"] == 0.0
+    # sizes (2N/3, N/3) approach lam(2/3, 1/3) = 4/9 at the rate 1/N
+    deviations = [abs(pl.blowup_density(p112, (2 * N // 3, N // 3)) - 4 / 9)
+                  for N in (15, 30, 45, 60)]
+    assert deviations[1] < 0.05
+    assert all(b < a for a, b in zip(deviations, deviations[1:]))
+    scaled = [dev * N for dev, N in zip(deviations, (15, 30, 45, 60))]
+    assert max(scaled) <= 2 * scaled[0]
+    # an empty class kills every profile that needs it
+    assert pl.blowup_density(p112, (3, 0)) == 0.0
 
 
 def test_limit_check_errors(p112):
     with pytest.raises(ValueError):
-        pl.blowup_density_limit_check(p112, [2 / 3, 1 / 3], [2])  # below r
-    with pytest.raises(CapExceeded):
-        pl.blowup_density_limit_check(p112, [2 / 3, 1 / 3], [10_000], cap=100)
+        pl.blowup_density(p112, (1, 1))  # below r
 
 
 # ---------------------------------------------------------------------------

@@ -302,6 +302,9 @@ def test_check_sequence_bad_eps_exits_2(capsys, tmp_path):
     ("NaN", "eps must be finite, got NaN"),
     ("[0.1, Infinity]", "eps[1] must be finite, got Infinity"),
     ("[-Infinity]", "eps[0] must be finite, got -Infinity"),
+    # json reads integers of any length; float() takes none past 1.8e308
+    pytest.param("[0.1, 1" + "0" * 400 + "]", "eps[1] is too large for a float", id="big-int"),
+    pytest.param("-1" + "0" * 400, "eps is too large for a float", id="big-negative-int"),
 ])
 def test_check_sequence_eps_entries_must_be_numbers(capsys, tmp_path, text, want):
     seq = _write_sequence(tmp_path, [pl.offdiagonal_pattern(3, 3)])

@@ -28,24 +28,6 @@ def test_multiset_canonical_expansion():
     assert hash(Multiset([1, 1, 2])) == hash(Multiset([2, 1, 1]))
 
 
-def test_multiplicity_direct_count():
-    e = Multiset([1, 1, 2])
-    assert e.multiplicity(1) == 2
-    assert e.multiplicity(3, m=3) == 0
-
-
-def test_multiplicity_of_second_index():
-    assert Multiset([1, 2, 2]).multiplicity(2) == 2
-
-
-def test_multiplicity_range_errors():
-    e = Multiset([1, 1, 2])
-    with pytest.raises(ValueError):
-        e.multiplicity(0)
-    with pytest.raises(ValueError):
-        e.multiplicity(3, m=2)
-
-
 def test_multiset_rejects_empty_and_bad_indices():
     with pytest.raises(ValueError):
         Multiset([])
@@ -84,11 +66,6 @@ def test_duplicate_edges_deduplicated_with_warning():
 def test_edges_sorted_canonically():
     P = Pattern(3, 3, [[3, 3, 3], [1, 1, 2]])
     assert [e.expansion for e in P.edges] == [(1, 1, 2), (3, 3, 3)]
-
-
-def test_edges_with_multiplicity(pb):
-    assert pb.edges_with_multiplicity(1, 2) == (Multiset([1, 1, 2]),)
-    assert pb.edges_with_multiplicity(1, 0) == ()
 
 
 # ---------------------------------------------------------------------------
