@@ -267,8 +267,13 @@ def test_limit_check_heavy_edge(p112):
     assert all(b < a for a, b in zip(deviations, deviations[1:]))
     scaled = [dev * N for dev, N in zip(deviations, (15, 30, 45, 60))]
     assert max(scaled) <= 2 * scaled[0]
-    # an empty class kills every profile that needs it
+
+
+def test_limit_check_degenerate_rounding(p112):
+    # sizes (0.9N, 0.1N) at N = 3 round to (3, 0): an empty class kills
+    # every profile that needs it
     assert pl.blowup_density(p112, (3, 0)) == 0.0
+    assert pl.blowup_density(p112, (0, 3)) == 0.0
 
 
 def test_limit_check_errors(p112):
