@@ -7,7 +7,8 @@ output.  Wall-clock time goes to stderr; --timing copies it into the
 manifest (at the cost of bytewise reproducibility).
 
 Exit codes: 0 ok, 2 bad input, 3 resource cap exceeded, 4 verification
-failure.
+failure.  A reader that closes stdout early ends the output quietly, with
+the command's own exit code.
 """
 
 from __future__ import annotations
@@ -366,10 +367,15 @@ def main(argv: list[str] | None = None) -> int:
         wall_clock_s=elapsed,
     )
     doc = {"manifest": manifest.to_dict(include_timing=args.timing), "result": result}
-    if args.pretty:
-        print(json.dumps(doc, indent=2))
-    else:
-        print(json.dumps(doc, separators=(",", ":")))
+    text = json.dumps(doc, indent=2) if args.pretty else json.dumps(doc, separators=(",", ":"))
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        # The reader closed stdout early (``| head``).  Send what is still
+        # buffered to devnull, so the interpreter's last flush cannot raise.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     print(f"patternlab: {args.command} finished in {elapsed:.3f}s", file=sys.stderr)
     return code
 

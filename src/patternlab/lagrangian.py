@@ -142,8 +142,11 @@ class OptimizerReport:
 
     value is the polynomial's float value at argmax, so it is a lower bound
     on the true maximum only up to float rounding.  support lists the
-    1-based coordinates of argmax above the support threshold.  oracle_gap
-    is value minus an exact grid-oracle value when one was requested.
+    1-based coordinates of argmax above the support threshold.
+    restarts_used counts the start rows actually searched: one subset
+    barycenter per orbit of the twin-class permutations, plus the random
+    starts.  oracle_gap is value minus an exact grid-oracle value when one
+    was requested.
     """
 
     value: float
@@ -186,7 +189,8 @@ class _Poly:
     passed; a single point is one block.
     """
 
-    __slots__ = ("slots", "coef", "m", "r", "block", "_scatter", "_bound")
+    __slots__ = ("slots", "coef", "m", "r", "block", "_scatter", "_merged", "_bound",
+                 "_twins")
 
     def __init__(self, slots: np.ndarray, coef: np.ndarray, m: int):
         slots.setflags(write=False)
@@ -197,7 +201,9 @@ class _Poly:
         self.r = slots.shape[0]
         self.block = max(16, 32768 // max(1, slots.shape[1]))
         self._scatter = None
+        self._merged = None
         self._bound = None
+        self._twins = None
 
     @property
     def scatter(self) -> np.ndarray:
@@ -214,6 +220,22 @@ class _Poly:
         return self._scatter
 
     @property
+    def merged(self) -> tuple[np.ndarray, np.ndarray]:
+        """(monomials, summed): the distinct sorted slot columns in
+        lexicographic order, and the summed coefficient of each.
+
+        A pattern's columns are already distinct, but plus_powers can add a
+        diagonal <i,...,i> that the table already holds.  Built on first use,
+        like scatter."""
+        if self._merged is None:
+            monomials, which = np.unique(np.sort(self.slots, axis=0), axis=1,
+                                         return_inverse=True)
+            summed = np.bincount(which.reshape(-1), self.coef,
+                                 minlength=monomials.shape[1])
+            self._merged = (np.ascontiguousarray(monomials), summed)
+        return self._merged
+
+    @property
     def bound(self) -> float:
         """An upper bound of the polynomial on the simplex: the largest ratio
         of a monomial's summed coefficient to its multinomial coefficient.
@@ -224,13 +246,24 @@ class _Poly:
         a pattern has ratio exactly 1.  Built on first use, like scatter.
         """
         if self._bound is None:
-            monomials, which = np.unique(np.sort(self.slots, axis=0), axis=1,
-                                         return_inverse=True)
-            summed = np.bincount(which.reshape(-1), self.coef,
-                                 minlength=monomials.shape[1])
+            monomials, summed = self.merged
             ratio = summed / _multinomials(monomials).astype(float)
             self._bound = float(ratio.max(initial=0.0))
         return self._bound
+
+    @property
+    def twins(self) -> tuple[tuple[int, ...], ...]:
+        """The twin classes: the partition of the 0-based indices in which i
+        and j share a class when swapping them maps every merged monomial,
+        with its summed coefficient, onto a merged monomial with the same
+        coefficient.  Classes are ordered by first member, members ascending.
+
+        Twinship is an equivalence relation, and the polynomial is invariant
+        under every permutation within classes.  Built on first use, like
+        scatter."""
+        if self._twins is None:
+            self._twins = _twin_classes(*self.merged, self.m)
+        return self._twins
 
     def plus_powers(self, indices, weight: float) -> "_Poly":
         """This polynomial plus weight * sum of x_i^r over 0-based indices."""
@@ -253,6 +286,59 @@ def _multinomials(columns: np.ndarray) -> np.ndarray:
         run = np.where(columns[j] == columns[j - 1], run + 1, 1)
         mult_fact *= run
     return math.factorial(columns.shape[0]) // mult_fact
+
+
+def _twin_classes(monomials: np.ndarray, summed: np.ndarray,
+                  m: int) -> tuple[tuple[int, ...], ...]:
+    """Twin classes of a merged monomial table (see _Poly.twins).
+
+    Twins share a signature: for each multiplicity and each coefficient,
+    the number of monomials in which the index has that multiplicity and
+    that coefficient.  Within a signature group each index is tested against
+    the first member of every class found so far; one test per class is
+    enough, as twinship is an equivalence relation.
+    """
+    r, U = monomials.shape
+    coefs, coef_id = np.unique(summed, return_inverse=True)
+    kinds = max(1, coefs.size)
+    # Multiplicity of an index in a sorted column: the length of its run,
+    # read at the run's last slot.
+    run = np.ones((r, U), dtype=np.intp)
+    for j in range(1, r):
+        run[j] = np.where(monomials[j] == monomials[j - 1], run[j - 1] + 1, 1)
+    ends = np.ones((r, U), dtype=bool)
+    ends[:-1] = monomials[1:] != monomials[:-1]
+    cell = (monomials * r + run - 1) * kinds + coef_id
+    signature = np.bincount(cell[ends], minlength=m * r * kinds).reshape(m, r * kinds)
+    group = np.unique(signature, axis=0, return_inverse=True)[1].reshape(-1)
+
+    heads: dict[int, list[int]] = {}
+    classes: dict[int, list[int]] = {}
+    for i in range(m):
+        candidates = heads.setdefault(int(group[i]), [])
+        head = next((h for h in candidates if _swap_fixes(monomials, coef_id, h, i)), None)
+        if head is None:
+            candidates.append(i)
+            classes[i] = [i]
+        else:
+            classes[head].append(i)
+    return tuple(tuple(c) for c in classes.values())
+
+
+def _swap_fixes(monomials: np.ndarray, coef_id: np.ndarray, i: int, j: int) -> bool:
+    """Does swapping indices i and j map the merged table onto itself?
+
+    Only the monomials holding i or j move.  Their images are re-sorted and
+    compared with the originals, which np.unique left in lexicographic
+    order; the swap is a bijection, so equal sorted tables mean it fixes
+    the table."""
+    held = np.nonzero(((monomials == i) | (monomials == j)).any(axis=0))[0]
+    before = monomials[:, held]
+    after = np.where(before == i, j, np.where(before == j, i, before))
+    after.sort(axis=0)
+    order = np.lexsort(after[::-1])
+    return (np.array_equal(after[:, order], before)
+            and np.array_equal(coef_id[held[order]], coef_id[held]))
 
 
 @lru_cache(maxsize=8192)
@@ -501,11 +587,18 @@ def _finish_rows(poly: _Poly, X: np.ndarray):
 # ---------------------------------------------------------------------------
 
 
-def _barycenter_starts(m: int) -> np.ndarray:
-    """Barycenters of index subsets; these hit symmetric optima exactly.
+def _barycenter_starts(m: int, twins=()) -> np.ndarray:
+    """Barycenters of index subsets, one per orbit of the twin-class
+    permutations; these hit symmetric optima exactly.
 
-    All nonempty subsets for m <= 10; beyond that, singletons, pairs and the
-    full barycenter (the exhaustive list would grow exponentially).
+    The subsets are all nonempty subsets for m <= 10; beyond that,
+    singletons, pairs and the full barycenter (the exhaustive list would
+    grow exponentially).  Of these, only the subsets that take a prefix of
+    each twin class are kept, in the same order: exactly one per orbit, all
+    in the chamber where coordinates do not increase within a class.  The
+    polynomial is invariant under these permutations, so the other members
+    of an orbit would climb to the same value.  Indices missing from twins
+    are singleton classes.
     """
     if m <= 10:
         subsets = itertools.chain.from_iterable(
@@ -522,7 +615,11 @@ def _barycenter_starts(m: int) -> np.ndarray:
         x = np.zeros(m)
         x[list(sub)] = 1.0 / len(sub)
         rows.append(x)
-    return np.array(rows)
+    X = np.array(rows)
+    prev = np.arange(m)  # the previous member of each index's class
+    for members in twins:
+        prev[list(members[1:])] = members[:-1]
+    return X[(X <= X[:, prev]).all(axis=1)]
 
 
 def _random_starts(rng: np.random.Generator, m: int, count: int) -> np.ndarray:
@@ -546,7 +643,7 @@ def _maximize_arrays(poly: _Poly, cfg: OptimizerConfig):
     grad_of = lambda X: _grad_rows(poly, X)
 
     rng = np.random.default_rng(cfg.seed)
-    X = np.vstack([_barycenter_starts(m), _random_starts(rng, m, cfg.restarts)])
+    X = np.vstack([_barycenter_starts(m, poly.twins), _random_starts(rng, m, cfg.restarts)])
     S = X.shape[0]
     F = value_of(X)
     t = np.ones(S)

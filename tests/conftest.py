@@ -115,6 +115,39 @@ def reference_grid_chunks(d, m, chunk):
                       prepend=-1, append=d + m - 1) - 1
 
 
+def reference_twin_pairs(slots, coef, m):
+    """Brute-force twin relation, kept as the oracle for _Poly.twins.
+
+    Sums the coefficient of each sorted slot column into a dict, then for
+    every pair i < j swaps the two indices in every key and compares the
+    swapped dict with the original.  Returns the set of twin pairs (i, j).
+    """
+    table = {}
+    for column, c in zip(slots.T.tolist(), coef.tolist()):
+        key = tuple(sorted(column))
+        table[key] = table.get(key, 0.0) + c
+
+    def swapped(i, j):
+        swap = {i: j, j: i}
+        return {tuple(sorted(swap.get(v, v) for v in key)): c for key, c in table.items()}
+
+    return {(i, j) for i, j in itertools.combinations(range(m), 2) if swapped(i, j) == table}
+
+
+def duplicate_index(P, k):
+    """P with index k duplicated as a new index m + 1: the polynomial
+    p(x_1, ..., x_k + x_{m+1}, ..., x_m).  An edge with s copies of k becomes
+    s + 1 edges, with b = 0..s of those copies moved to m + 1; the
+    coefficients r!/prod(mult!) of the new edges are the binomial split of
+    the old one, so k and m + 1 are twins."""
+    edges = []
+    for row in P.rows.tolist():
+        s = row.count(k)
+        rest = [v for v in row if v != k]
+        edges += [sorted(rest + [k] * (s - b) + [P.m + 1] * b) for b in range(s + 1)]
+    return pl.Pattern(P.m + 1, P.r, edges)
+
+
 def random_simplex(rng, m):
     w = rng.standard_exponential(m)
     return w / w.sum()

@@ -1,4 +1,8 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -375,3 +379,48 @@ def test_bundled_examples_present():
         assert required in names
     with pytest.raises(FileNotFoundError):
         example_path("nope.json")
+
+
+# The value and support `lambda` reported for each bundled example before
+# the barycenter starts were cut to one per twin-class orbit.
+BUNDLED_LAMBDA = {
+    "empty.json": (0.0, [1]),
+    "grosu_m2_r2.json": (0.5, [1, 2]),
+    "grosu_m2_r3.json": (0.75, [1, 2]),
+    "grosu_m3_r3.json": (0.8888888888888891, [1, 2, 3]),
+    "k3.json": (0.6666666666666666, [1, 2, 3]),
+    "k5.json": (0.7999999999999998, [1, 2, 3, 4, 5]),
+    "p_112.json": (0.4444444444444444, [1, 2]),
+    "pb.json": (0.75, [1, 2]),
+    "triple.json": (0.2222222222222222, [1, 2, 3]),
+}
+
+
+def test_lambda_of_every_bundled_example_is_unchanged(capsys):
+    assert sorted(BUNDLED_LAMBDA) == list_examples()
+    for name, (value, support) in BUNDLED_LAMBDA.items():
+        code, doc = run_cli(capsys, "lambda", str(example_path(name)))
+        report = doc["result"]["report"]
+        assert code == 0, name
+        assert report["value"] == pytest.approx(value, abs=1e-12), name
+        assert report["support"] == support, name
+
+
+def test_reader_closing_stdout_early_exits_quietly():
+    # As in `patternlab catalog ... | head -c 100`: the pipe is closed before
+    # the report is written.
+    env = {k: v for k, v in os.environ.items() if k != "PATTERNLAB_SEED"}
+    env["PYTHONPATH"] = str(pathlib.Path(pl.__file__).resolve().parents[1])
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "patternlab", "catalog", "--r", "3", "--frankl-rodl-l", "7,9"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc.stdout.close()
+    try:
+        err = proc.stderr.read().decode()
+        code = proc.wait(timeout=60)
+    finally:
+        proc.stderr.close()
+        proc.kill()
+    assert code == 0
+    assert "Traceback" not in err and "BrokenPipeError" not in err
+    assert err.startswith("patternlab: catalog finished")

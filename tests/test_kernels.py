@@ -14,7 +14,7 @@ from patternlab.algebra import ReducedObjective, _reduced_polynomial, eval_phi
 from patternlab.lagrangian import (_finish_rows, _grad_rows, _hessian_rows,
                                    _polynomial, _value_rows)
 
-from conftest import integer_terms
+from conftest import duplicate_index, integer_terms, reference_twin_pairs
 
 
 @st.composite
@@ -161,3 +161,63 @@ def test_stacked_finish_never_loses_value(case):
     assert (points >= 0).all()
     assert (values >= _value_rows(poly, X) - 1e-12).all()
     np.testing.assert_allclose(values, _value_rows(poly, points), rtol=0, atol=1e-14)
+
+
+def _twin_pairs(classes):
+    return {(i, j) for members in classes for i, j in itertools.combinations(members, 2)}
+
+
+@KERNEL_SETTINGS
+@given(patterns(), st.data())
+def test_twin_classes_match_the_swap_oracle(P, data):
+    # With a glue set this is map_f's reduced polynomial: its diagonal terms
+    # can repeat host edges, and at lambda2 = 0 they weigh 0.
+    glue = data.draw(st.sets(st.integers(1, P.m)))
+    lambda2 = float(data.draw(st.fractions(0, 1, max_denominator=50)))
+    poly = (_reduced_polynomial(ReducedObjective(P, tuple(glue), lambda2)) if glue
+            else _polynomial(P))
+    classes = poly.twins
+    assert sorted(i for members in classes for i in members) == list(range(P.m))
+    assert all(list(members) == sorted(members) for members in classes)
+    assert [members[0] for members in classes] == sorted(members[0] for members in classes)
+    assert _twin_pairs(classes) == reference_twin_pairs(poly.slots, poly.coef, P.m)
+
+
+@KERNEL_SETTINGS
+@given(patterns(), st.data())
+def test_twin_classes_follow_relabelling(P, data):
+    perm = data.draw(st.permutations(range(1, P.m + 1)))
+    moved = {frozenset(perm[i] - 1 for i in members) for members in _polynomial(P).twins}
+    relabelled = _polynomial(pl.relabel_pattern(P, perm)).twins
+    assert {frozenset(members) for members in relabelled} == moved
+
+
+@settings(max_examples=50)
+@given(patterns(), st.data())
+def test_planted_twins_are_found(P, data):
+    k = data.draw(st.integers(1, P.m))
+    twins = _polynomial(duplicate_index(P, k)).twins
+    assert any({k - 1, P.m} <= set(members) for members in twins)
+    sizes = data.draw(st.lists(st.integers(1, 3), min_size=P.m, max_size=P.m))
+    G, part = pl.blowup(P, sizes)
+    twins = _polynomial(pl.pattern_of_hypergraph(G)).twins
+    for block in part.parts:
+        assert any({v - 1 for v in block} <= set(members) for members in twins)
+
+
+@pytest.mark.parametrize("m, r", [(2, 2), (3, 3), (5, 2), (6, 3), (4, 4), (12, 3)])
+def test_complete_and_offdiagonal_patterns_form_one_class(m, r):
+    assert _polynomial(pl.complete_pattern(m, r)).twins == (tuple(range(m)),)
+    assert _polynomial(pl.offdiagonal_pattern(m, r)).twins == (tuple(range(m)),)
+
+
+@KERNEL_SETTINGS
+@given(patterns(), st.data())
+def test_glued_and_unglued_indices_never_share_a_class(P, data):
+    # A glued diagonal weighs lambda2 or 1 + lambda2, an unglued one 0 or 1,
+    # so they differ for every lambda2 strictly between 0 and 1.
+    glue = data.draw(st.sets(st.integers(1, P.m), min_size=1))
+    lambda2 = data.draw(st.fractions(Fraction(1, 50), Fraction(49, 50), max_denominator=50))
+    poly = _reduced_polynomial(ReducedObjective(P, tuple(glue), float(lambda2)))
+    for members in poly.twins:
+        assert len({i + 1 in glue for i in members}) == 1

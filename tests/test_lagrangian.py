@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 from fractions import Fraction
 
@@ -10,10 +11,12 @@ from hypothesis import strategies as st
 import patternlab as pl
 from patternlab import OptimizerConfig, Pattern, SimplexPoint
 from patternlab import lagrangian
+from patternlab.cli import main as cli_main
 from patternlab.errors import CapExceeded
 from patternlab.lagrangian import eval_lagrange_unnormalized
 
-from conftest import integer_terms, random_simplex, reference_grid_chunks, slow_lagrange
+from conftest import (duplicate_index, integer_terms, random_simplex, reference_grid_chunks,
+                      slow_lagrange)
 
 
 # ---------------------------------------------------------------------------
@@ -238,6 +241,13 @@ def test_barycenter_starts_are_bounded_by_construction():
     for m, rows in ((1, 1), (10, 2**10 - 1), (11, 11 * 12 // 2 + 1), (40, 40 * 41 // 2 + 1)):
         X = lagrangian._barycenter_starts(m)
         assert X.shape == (rows, m)
+        np.testing.assert_allclose(X.sum(axis=1), 1.0, rtol=0, atol=1e-15)
+    # K_m is one twin class: one prefix of each size for m <= 10, and the
+    # first singleton, the first pair and the full barycenter beyond that.
+    for m, rows in ((2, 2), (10, 10), (11, 3), (40, 3)):
+        X = lagrangian._barycenter_starts(m, lagrangian._polynomial(pl.complete_pattern(m, 2)).twins)
+        assert X.shape == (rows, m)
+        assert (np.diff(X, axis=1) <= 0).all()
         np.testing.assert_allclose(X.sum(axis=1), 1.0, rtol=0, atol=1e-15)
 
 
@@ -576,3 +586,84 @@ def test_blowup_lagrangian_converges_across_seeds():
         rep = pl.lagrangian_of_hypergraph(G, OptimizerConfig(seed=seed))
         assert rep.converged, seed
         assert rep.value == pytest.approx(3 / 8, abs=1e-12), seed
+
+
+# ---------------------------------------------------------------------------
+# One barycenter start per twin-class orbit
+# ---------------------------------------------------------------------------
+
+
+def _without_twins(monkeypatch, run):
+    """run() with every index its own twin class: the full start list."""
+    with monkeypatch.context() as mp:
+        mp.setattr(lagrangian._Poly, "twins",
+                   property(lambda poly: tuple((i,) for i in range(poly.m))))
+        return run()
+
+
+def _same_value_as_without_twins(monkeypatch, run):
+    rep = run()
+    full = _without_twins(monkeypatch, run)
+    assert rep.value == pytest.approx(full.value, abs=1e-12)
+    assert rep.restarts_used <= full.restarts_used
+    return rep, full
+
+
+def test_orbit_starts_keep_the_dense_values(monkeypatch):
+    rng = np.random.default_rng(7)
+    G, _ = pl.blowup(pl.complete_pattern(4, 3), (3, 3, 3, 3))
+    cases = [pl.complete_pattern(16, 3), pl.complete_pattern(10, 4), pl.complete_pattern(12, 3),
+             pl.offdiagonal_pattern(3, 3), pl.offdiagonal_pattern(6, 3),
+             *(pl.random_pattern(rng, 5, 3) for _ in range(3))]
+    for P in cases:
+        _same_value_as_without_twins(monkeypatch, lambda: pl.maximize(P))
+    rep, full = _same_value_as_without_twins(monkeypatch, lambda: pl.lagrangian_of_hypergraph(G))
+    assert (rep.restarts_used, full.restarts_used) == (79, 143)
+
+
+def test_orbit_starts_keep_the_values_of_planted_twins(monkeypatch):
+    rng = np.random.default_rng(2024)
+    for _ in range(12):
+        P = pl.random_pattern(rng, int(rng.integers(2, 6)), int(rng.integers(2, 5)),
+                              allow_empty=False)
+        P = duplicate_index(duplicate_index(P, 1), P.m)
+        rep, full = _same_value_as_without_twins(monkeypatch, lambda: pl.maximize(P))
+        assert rep.restarts_used < full.restarts_used
+
+
+@pytest.mark.parametrize("m, r, glue, lambda2", [
+    (4, 3, (1, 2), 0.5), (5, 3, (1, 3, 5), 0.8), (3, 4, (2,), 0.3), (6, 2, (1, 2, 3), 0.6)])
+def test_orbit_starts_keep_map_f_values(monkeypatch, m, r, glue, lambda2):
+    host = pl.offdiagonal_pattern(m, r)
+    _same_value_as_without_twins(monkeypatch, lambda: pl.map_f(host, glue, lambda2))
+
+
+def test_orbit_starts_keep_the_minimality_verdicts(monkeypatch):
+    cases = pl.minimality_suite()["cases"]
+    full = _without_twins(monkeypatch, pl.minimality_suite)["cases"]
+    for case, old in zip(cases, full, strict=True):
+        assert (case["name"], case["minimal"], case["ok"]) == (old["name"], old["minimal"], old["ok"])
+        assert case["value"] == pytest.approx(old["value"], abs=1e-12)
+        assert case["min_margin"] == pytest.approx(old["min_margin"], abs=1e-12)
+
+
+def test_orbit_starts_keep_verify_all(monkeypatch, capsys):
+    def verify():
+        assert cli_main(["verify", "all", "--trials", "120", "--seed", "7"]) == 0
+        return json.loads(capsys.readouterr().out)["result"]
+
+    def close(got, want, path="result"):
+        if isinstance(want, dict):
+            assert sorted(got) == sorted(want), path
+            for key in want:
+                close(got[key], want[key], f"{path}/{key}")
+        elif isinstance(want, list):
+            assert len(got) == len(want), path
+            for k, (g, w) in enumerate(zip(got, want)):
+                close(g, w, f"{path}[{k}]")
+        elif isinstance(want, float):
+            assert got == pytest.approx(want, abs=1e-12), path
+        else:
+            assert got == want, path
+
+    close(verify(), _without_twins(monkeypatch, verify))
