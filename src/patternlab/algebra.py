@@ -49,6 +49,13 @@ __all__ = [
 ]
 
 UNION_CAP = 2_000_000  # max edge images enumerated by union_on_set
+GLUED_INDEX_CAP = 16  # max indices of the glued pattern verify_union_lambda maximizes
+SUITE_R = 3  # uniformity of both gluing suites' random patterns
+DECOMPOSITION_M_CAP = 4  # decomposition_suite: host and inner have 1..4 indices
+DECOMPOSITION_TOLERANCE = 1e-12  # decomposition_suite: max |lhs - rhs|
+UNION_LAMBDA_M_CAP = 3  # union_lambda_suite: every shape with 1..3 indices a side
+UNION_LAMBDA_PER_SHAPE = 2  # union_lambda_suite: instances per shape and glue index
+UNION_LAMBDA_TOLERANCE = 1e-6  # union_lambda_suite: max |direct - reduced|
 
 
 @dataclass(frozen=True)
@@ -107,13 +114,12 @@ def _check_glue(m1: int, glue) -> tuple[int, ...]:
     return T
 
 
-def union_on_set(P1: Pattern, P2: Pattern, glue,
-                 *, cap: int = UNION_CAP) -> tuple[Pattern, UnionLabeling]:
+def union_on_set(P1: Pattern, P2: Pattern, glue) -> tuple[Pattern, UnionLabeling]:
     """Glue a copy of P2 into every index of the glue set of P1.
 
     The result has m1 + |glue|*(m2 - 1) indices and does not depend on any
     iteration order.  Raises CapExceeded before enumerating when the edge
-    images exceed cap: |glue|*|E2| inner images plus, per host edge, the
+    images exceed UNION_CAP: |glue|*|E2| inner images plus, per host edge, the
     product of C(m2 + s - 1, s) over its glued indices of multiplicity s.
     """
     if P1.r != P2.r:
@@ -122,8 +128,8 @@ def union_on_set(P1: Pattern, P2: Pattern, glue,
     images = len(T) * P2.edge_count + sum(
         math.prod(math.comb(P2.m + s - 1, s) for j, s in _runs(row) if j in T)
         for row in P1.rows.tolist())
-    if images > cap:
-        raise CapExceeded(f"gluing enumerates {images} edge images, cap is {cap}")
+    if images > UNION_CAP:
+        raise CapExceeded(f"gluing enumerates {images} edge images, cap is {UNION_CAP}")
 
     origin: list[tuple] = []
     block: dict[int, tuple[int, ...]] = {}
@@ -278,20 +284,19 @@ class UnionLambdaCheck:
 
 
 def verify_union_lambda(P1: Pattern, P2: Pattern, glue,
-                        cfg: OptimizerConfig | None = None,
-                        *, max_indices: int = 16) -> UnionLambdaCheck:
+                        cfg: OptimizerConfig | None = None) -> UnionLambdaCheck:
     """Maximize the glued pattern directly and through the reduced objective.
 
     Both routes are computed independently; the reported gap is their
     absolute difference.  The routes agree under the decomposition
     hypothesis (no glued-index diagonal in the host).  Raises CapExceeded
-    when the glued pattern would have more than max_indices indices.
+    when the glued pattern would have more than GLUED_INDEX_CAP indices.
     """
     cfg = cfg or OptimizerConfig()
     T = _check_glue(P1.m, glue)
     new_m = P1.m + len(T) * (P2.m - 1)
-    if new_m > max_indices:
-        raise CapExceeded(f"glued pattern has {new_m} indices, cap is {max_indices}")
+    if new_m > GLUED_INDEX_CAP:
+        raise CapExceeded(f"glued pattern has {new_m} indices, cap is {GLUED_INDEX_CAP}")
     inner = maximize(P2, cfg)
     lambda2 = min(max(inner.value, 0.0), 1.0)
     U, _ = union_on_set(P1, P2, T)
@@ -418,18 +423,18 @@ def _random_simplex(rng: np.random.Generator, m: int) -> np.ndarray:
     return w / w.sum()
 
 
-def decomposition_suite(trials: int = 200, seed: int = 0, *, m_cap: int = 4,
-                        r: int = 3, tolerance: float = 1e-12) -> dict:
+def decomposition_suite(trials: int = 200, seed: int = 0) -> dict:
     """Random-instance check of the gluing decomposition identity.
 
     Also spot-checks the multinomial power collapse for every block size up
-    to 5 and every exponent up to r.  Returns a JSON-ready report.
+    to 5 and every exponent up to SUITE_R.  Returns a JSON-ready report.
     """
+    r = SUITE_R
     rng = np.random.default_rng(seed)
     max_gap = 0.0
     for _ in range(int(trials)):
-        m1 = int(rng.integers(1, m_cap + 1))
-        m2 = int(rng.integers(1, m_cap + 1))
+        m1 = int(rng.integers(1, DECOMPOSITION_M_CAP + 1))
+        m2 = int(rng.integers(1, DECOMPOSITION_M_CAP + 1))
         i = int(rng.integers(1, m1 + 1))
         # Sample within the identity's hypothesis: no glued-index diagonal.
         P1 = random_pattern(rng, m1, r, exclude=[[i] * r])
@@ -444,30 +449,29 @@ def decomposition_suite(trials: int = 200, seed: int = 0, *, m_cap: int = 4,
             y = rng.standard_exponential(m2)
             y = y / (y.sum() * rng.uniform(1.0, 3.0))
             power_gap = max(power_gap, multiset_power_gap(y, s))
-    passed = bool(max_gap < tolerance and power_gap < tolerance)
+    passed = bool(max_gap < DECOMPOSITION_TOLERANCE and power_gap < DECOMPOSITION_TOLERANCE)
     return {
         "suite": "decomposition",
         "trials": int(trials),
         "max_gap": float(max_gap),
         "power_identity_max_gap": float(power_gap),
-        "tolerance": tolerance,
+        "tolerance": DECOMPOSITION_TOLERANCE,
         "passed": passed,
     }
 
 
-def union_lambda_suite(cfg: OptimizerConfig | None = None, seed: int = 0, *,
-                       m_cap: int = 3, r: int = 3, per_shape: int = 2,
-                       tolerance: float = 1e-6) -> dict:
+def union_lambda_suite(cfg: OptimizerConfig | None = None, seed: int = 0) -> dict:
     """Exhaustive small-shape check that the glued Lagrangian matches the
     reduced objective, plus structure-independence and empty-inner checks."""
     cfg = cfg or OptimizerConfig()
+    r = SUITE_R
     rng = np.random.default_rng(seed)
     instances = []
     max_gap = 0.0
-    for m1 in range(1, m_cap + 1):
-        for m2 in range(1, m_cap + 1):
+    for m1 in range(1, UNION_LAMBDA_M_CAP + 1):
+        for m2 in range(1, UNION_LAMBDA_M_CAP + 1):
             for i in range(1, m1 + 1):
-                for _ in range(per_shape):
+                for _ in range(UNION_LAMBDA_PER_SHAPE):
                     P1 = random_pattern(rng, m1, r, exclude=[[i] * r])
                     P2 = random_pattern(rng, m2, r)
                     chk = verify_union_lambda(P1, P2, (i,), cfg)
@@ -493,14 +497,14 @@ def union_lambda_suite(cfg: OptimizerConfig | None = None, seed: int = 0, *,
     glued_value = maximize(union_on_set(host, empty, (1,))[0], cfg).value
     empty_gap = abs(glued_value - maximize(host, cfg).value)
 
-    passed = max_gap < tolerance and structure_gap < 1e-9 and empty_gap < 1e-9
+    passed = max_gap < UNION_LAMBDA_TOLERANCE and structure_gap < 1e-9 and empty_gap < 1e-9
     return {
         "suite": "union-lambda",
         "instances": len(instances),
         "max_gap": max_gap,
         "structure_independence_gap": structure_gap,
         "empty_inner_gap": empty_gap,
-        "tolerance": tolerance,
+        "tolerance": UNION_LAMBDA_TOLERANCE,
         "passed": passed,
         "details": instances,
     }

@@ -39,6 +39,11 @@ __all__ = [
 MATERIALIZE_CAP = 2_000_000  # max C(n, r) candidate r-sets for materialization
 SEQUENCE_CAP = 10_000  # max subpattern maximizations run by sequence_check
 
+CONSTRUCTION_SLACK = 1e-8  # float hair by which a blowup's Lagrangian may pass its pattern's
+COND3_SLACK = 1e-8  # float hair by which a condition-3 subpattern value may pass lambda0
+CONSTRUCTION_TRIALS = 20  # random blowups checked by construction_suite
+CONSTRUCTION_N_CAP = 8  # max vertices of a construction_suite blowup
+
 
 @dataclass(frozen=True)
 class Partition:
@@ -79,12 +84,11 @@ class Partition:
         return sum(len(p) for p in self.parts)
 
 
-def blowup(P: Pattern, sizes: Sequence[int], *,
-           cap: int = MATERIALIZE_CAP) -> tuple[Hypergraph, Partition]:
+def blowup(P: Pattern, sizes: Sequence[int]) -> tuple[Hypergraph, Partition]:
     """Materialize the blowup of P with the given class sizes.
 
     Every edge's profile is an edge of P, and every r-set whose profile is
-    an edge of P is included.  Raises CapExceeded when C(n, r) exceeds cap.
+    an edge of P is included.  Raises CapExceeded when C(n, r) > MATERIALIZE_CAP.
     """
     if len(sizes) != P.m:
         raise ValueError(f"expected {P.m} sizes, got {len(sizes)}")
@@ -93,8 +97,8 @@ def blowup(P: Pattern, sizes: Sequence[int], *,
     if n < 1:
         raise ValueError("blowup needs at least one vertex")
     candidates = math.comb(n, P.r)
-    if candidates > cap:
-        raise CapExceeded(f"C({n}, {P.r}) = {candidates} r-sets, cap is {cap}")
+    if candidates > MATERIALIZE_CAP:
+        raise CapExceeded(f"C({n}, {P.r}) = {candidates} r-sets, cap is {MATERIALIZE_CAP}")
     # Classes are contiguous and each edge's classes are taken in index
     # order, so every row comes out sorted and distinct pattern edges fill
     # disjoint blocks; Hypergraph re-sorts and deduplicates regardless.
@@ -136,45 +140,40 @@ def blowup_density(P: Pattern, sizes: Sequence[int]) -> float:
 
 @dataclass
 class ConstructionCheck:
-    """A blowup's Lagrangian never exceeds the pattern's."""
+    """A blowup's Lagrangian never exceeds the pattern's (ok allows CONSTRUCTION_SLACK)."""
 
     pattern_value: float
     construction_value: float
-    slack: float
     ok: bool
     converged: bool
 
 
 def construction_lagrangian_check(P: Pattern, sizes: Sequence[int],
-                                  cfg: OptimizerConfig | None = None, *,
-                                  slack: float = 1e-6,
-                                  cap: int = MATERIALIZE_CAP) -> ConstructionCheck:
+                                  cfg: OptimizerConfig | None = None) -> ConstructionCheck:
     """Materialize a blowup and compare its Lagrangian with the pattern's."""
     cfg = cfg or OptimizerConfig()
-    G, _ = blowup(P, sizes, cap=cap)
+    G, _ = blowup(P, sizes)
     rep_c = lagrangian_of_hypergraph(G, cfg)
     rep_p = maximize(P, cfg)
-    ok = rep_c.value <= rep_p.value + slack
-    return ConstructionCheck(rep_p.value, rep_c.value, slack, ok,
+    ok = rep_c.value <= rep_p.value + CONSTRUCTION_SLACK
+    return ConstructionCheck(rep_p.value, rep_c.value, ok,
                              rep_c.converged and rep_p.converged)
 
 
-def construction_suite(trials: int = 20, seed: int = 0,
-                       cfg: OptimizerConfig | None = None, *,
-                       n_cap: int = 8, slack: float = 1e-8) -> dict:
+def construction_suite(seed: int = 0, cfg: OptimizerConfig | None = None) -> dict:
     """Randomized blowup-vs-pattern inequality checks; JSON-ready report."""
     cfg = cfg or OptimizerConfig()
     rng = np.random.default_rng(seed)
     cases = []
     all_ok = True
-    for _ in range(int(trials)):
+    for _ in range(CONSTRUCTION_TRIALS):
         m = int(rng.integers(1, 4))
         P = random_pattern(rng, m, 3, allow_empty=False)
         while True:
             sizes = [int(rng.integers(0, 4)) for _ in range(m)]
-            if P.r <= sum(sizes) <= n_cap:
+            if P.r <= sum(sizes) <= CONSTRUCTION_N_CAP:
                 break
-        chk = construction_lagrangian_check(P, sizes, cfg, slack=slack)
+        chk = construction_lagrangian_check(P, sizes, cfg)
         all_ok = all_ok and chk.ok
         cases.append({
             "m": m,
@@ -183,7 +182,7 @@ def construction_suite(trials: int = 20, seed: int = 0,
             "construction_value": chk.construction_value,
             "ok": chk.ok,
         })
-    return {"suite": "construction", "trials": int(trials), "slack": slack,
+    return {"suite": "construction", "trials": CONSTRUCTION_TRIALS, "slack": CONSTRUCTION_SLACK,
             "cases": cases, "passed": all_ok}
 
 
@@ -223,9 +222,9 @@ class SequenceCheckReport:
     """Finite-data evidence for the three sequence conditions.
 
     Condition 1 (the limit) is reported as a trailing-window slope only: a
-    finite prefix cannot certify a limit.  Condition 2 passes are conclusive
-    up to optimizer certification (values are lower bounds); condition 3
-    violations are conclusive for the same reason, passes are evidence.
+    finite prefix cannot certify a limit.  No value is certified: each is the
+    optimizer's float value, a lower bound only up to rounding.  So condition-2
+    passes and condition-3 violations hold up to rounding; the rest is evidence.
     """
 
     lambda0: float
@@ -255,8 +254,7 @@ class SequenceCheckReport:
 
 def sequence_check(patterns: Sequence[Pattern], k: int, lambda0: float,
                    eps: Sequence[float] | float,
-                   cfg: OptimizerConfig | None = None, *,
-                   cond3_slack: float = 1e-8) -> SequenceCheckReport:
+                   cfg: OptimizerConfig | None = None) -> SequenceCheckReport:
     """Check a finite pattern list against the sequence conditions.
 
     Condition 2: Lagrangian of term t at least lambda0 + eps(t).
@@ -272,6 +270,8 @@ def sequence_check(patterns: Sequence[Pattern], k: int, lambda0: float,
     if not patterns:
         raise ValueError("need at least one pattern")
     k = int(k)
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
     if isinstance(eps, (int, float)):
         eps_list = [float(eps)] * len(patterns)
     else:
@@ -299,7 +299,7 @@ def sequence_check(patterns: Sequence[Pattern], k: int, lambda0: float,
             if sub_value > worst_value:
                 worst_value = sub_value
                 worst_subset = S
-        cond3 = worst_value <= lambda0 + cond3_slack
+        cond3 = worst_value <= lambda0 + COND3_SLACK
         per_t.append(PerTermCheck(t, P.m, rep.value, eps_list[t - 1], cond2,
                                   worst_subset, worst_value, cond3))
 
@@ -313,7 +313,7 @@ def sequence_check(patterns: Sequence[Pattern], k: int, lambda0: float,
     cond3_all = all(p.cond3_ok for p in per_t)
     verdicts = {
         "condition1": f"reported only (trailing-window slope {slope}); a finite prefix cannot certify a limit",
-        "condition2": "pass (certified lower bounds)" if cond2_all
+        "condition2": "pass (optimizer float values, lower bounds up to rounding)" if cond2_all
                       else "fail (lower-bound evidence did not reach lambda0 + eps)",
         "condition3": "pass (evidence; optimizer values are lower bounds)" if cond3_all
                       else "fail (conclusive: a subpattern lower bound exceeds lambda0)",

@@ -27,7 +27,7 @@ from fractions import Fraction
 from . import __version__
 from .algebra import (decomposition_suite, map_f, nonjump_catalog,
                       union_lambda_suite, union_on_set)
-from .blowups import blowup, construction_suite, density, sequence_check
+from .blowups import CONSTRUCTION_TRIALS, blowup, construction_suite, density, sequence_check
 from .errors import CapExceeded, FormatError, PatternLabError
 from .lagrangian import OptimizerConfig, grid_oracle, maximize, minimality_suite
 from .patterns import (Hypergraph, _document, load_any, load_pattern,
@@ -306,7 +306,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("suite", choices=_SUITES + ("all",))
-    p.add_argument("--trials", type=int, default=200, help="random trials where applicable")
+    p.add_argument("--trials", type=int, default=200, help="random trials of the decomposition "
+                   f"suite only; the construction suite always runs {CONSTRUCTION_TRIALS}")
     _optimizer_flags(p)
     p.set_defaults(fn=_cmd_verify)
 

@@ -63,6 +63,11 @@ SIMPLEX_SUM_TOL = 1e-12
 # the step then halves and the iterate converges in a few dozen passes.
 ARMIJO_INCREASE = 1e-2
 
+SUPPORT_THRESHOLD = 1e-7  # argmax coordinates above this form the reported support
+KKT_POLISH_STEPS = 25  # max Newton steps per support face in _kkt_polish_rows
+GRID_CAP = 1_000_000  # max C(d+m-1, m-1) grid points enumerated by grid_oracle
+MINIMALITY_MARGIN = 1e-9  # least value drop, per removed index, of a minimal pattern
+
 
 class SimplexPoint:
     """A point of the standard simplex: nonnegative weights summing to 1.
@@ -117,13 +122,13 @@ class OptimizerConfig:
     the deterministic subset-barycenter starts; tolerance is the KKT
     stationarity target that stops a run, and a run is flagged converged
     when its final residual is within KKT_ACCEPT_FACTOR of that target.
+    The command line sets every field (--restarts, --iters, --tol, --seed).
     """
 
     restarts: int = 64
     max_iterations: int = 5000
     tolerance: float = 1e-10
     seed: int = 0
-    support_threshold: float = 1e-7
 
     def __post_init__(self):
         if self.restarts < 1:
@@ -132,8 +137,6 @@ class OptimizerConfig:
             raise ValueError("tolerance must be > 0")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-        if self.support_threshold < 0:
-            raise ValueError("support_threshold must be >= 0")
 
 
 @dataclass
@@ -142,7 +145,7 @@ class OptimizerReport:
 
     value is the polynomial's float value at argmax, so it is a lower bound
     on the true maximum only up to float rounding.  support lists the
-    1-based coordinates of argmax above the support threshold.
+    1-based coordinates of argmax above SUPPORT_THRESHOLD.
     restarts_used counts the start rows actually searched: one subset
     barycenter per orbit of the twin-class permutations, plus the random
     starts.  oracle_gap is value minus an exact grid-oracle value when one
@@ -491,7 +494,7 @@ def _hessian_rows(poly: _Poly, X: np.ndarray) -> np.ndarray:
     return H.reshape(S, m, m)
 
 
-def _kkt_polish_rows(poly: _Poly, X: np.ndarray, max_steps: int = 25) -> np.ndarray:
+def _kkt_polish_rows(poly: _Poly, X: np.ndarray) -> np.ndarray:
     """Newton refinement of stationarity on the support face of each row.
 
     Ascent alone floors the KKT residual near sqrt(eps) because objective
@@ -511,7 +514,7 @@ def _kkt_polish_rows(poly: _Poly, X: np.ndarray, max_steps: int = 25) -> np.ndar
         if k == 0:
             continue
         rows = np.nonzero(face_of == face)[0]
-        for _ in range(max_steps):
+        for _ in range(KKT_POLISH_STEPS):
             x = X[rows]
             g = _grad_rows(poly, x)
             mu = (x * g).sum(axis=1)
@@ -737,7 +740,7 @@ def _maximize_poly(poly: _Poly, cfg: OptimizerConfig) -> OptimizerReport:
         kkt, converged, used = 0.0, True, 1
     else:
         x, value, kkt, converged, used = _maximize_arrays(poly, cfg)
-    support = tuple(int(i + 1) for i in np.nonzero(x > cfg.support_threshold)[0])
+    support = tuple(int(i + 1) for i in np.nonzero(x > SUPPORT_THRESHOLD)[0])
     return OptimizerReport(value, SimplexPoint(x), support, used, converged, kkt)
 
 
@@ -816,13 +819,13 @@ def _grid_block(lead: tuple[int, ...], d: int, left: np.ndarray, m: int) -> np.n
     return K
 
 
-def grid_oracle(P: Pattern, d: int, *, cap: int = 1_000_000) -> Fraction:
+def grid_oracle(P: Pattern, d: int) -> Fraction:
     """Exact maximum of the density polynomial over denominator-d grid points.
 
     Enumerates every simplex point with coordinates k_i/d in exact integer
     arithmetic, so the returned Fraction is an unarguable lower bound on the
     Lagrangian, converging to it as d grows.  Raises CapExceeded when the
-    C(d+m-1, m-1) grid is larger than cap.
+    C(d+m-1, m-1) grid is larger than GRID_CAP.
 
     At k the scaled value d^r * lam(k/d) is sum_e mc_e * prod_i k_i^mult_i,
     whose terms are distinct terms of the multinomial expansion of
@@ -837,8 +840,8 @@ def grid_oracle(P: Pattern, d: int, *, cap: int = 1_000_000) -> Fraction:
     if d < 1:
         raise ValueError(f"denominator must be >= 1, got {d}")
     points = math.comb(d + P.m - 1, P.m - 1)
-    if points > cap:
-        raise CapExceeded(f"grid has {points} points, cap is {cap}")
+    if points > GRID_CAP:
+        raise CapExceeded(f"grid has {points} points, cap is {GRID_CAP}")
     scale = d**P.r
     slots = _polynomial(P).slots
     coef = _multinomials(slots)
@@ -861,21 +864,19 @@ def grid_oracle(P: Pattern, d: int, *, cap: int = 1_000_000) -> Fraction:
 class MinimalityReport:
     """Per-index Lagrangian drop when that index is removed.
 
-    minimal is true when every removal drops the value by more than the
-    margin tolerance; margins[i] = value(P) - value(P without i).  argmax
+    minimal is true when every removal drops the value by more than
+    MINIMALITY_MARGIN; margins[i] = value(P) - value(P without i).  argmax
     is the maximizer of P itself.
     """
 
     minimal: bool
     value: float
     margins: dict[int, float]
-    margin_tolerance: float
     converged: bool
     argmax: SimplexPoint
 
 
-def is_minimal(P: Pattern, cfg: OptimizerConfig | None = None, *,
-               margin_tolerance: float = 1e-9) -> MinimalityReport:
+def is_minimal(P: Pattern, cfg: OptimizerConfig | None = None) -> MinimalityReport:
     """Does removing any single index strictly decrease the Lagrangian?
 
     For m=1 the removal leaves nothing, whose Lagrangian is 0 by convention.
@@ -892,9 +893,8 @@ def is_minimal(P: Pattern, cfg: OptimizerConfig | None = None, *,
             sub_value = sub.value
             converged = converged and sub.converged
         margins[i] = base.value - sub_value
-    minimal = all(g > margin_tolerance for g in margins.values())
-    return MinimalityReport(minimal, base.value, margins, margin_tolerance, converged,
-                            base.argmax)
+    minimal = all(g > MINIMALITY_MARGIN for g in margins.values())
+    return MinimalityReport(minimal, base.value, margins, converged, base.argmax)
 
 
 # ---------------------------------------------------------------------------
@@ -927,7 +927,7 @@ def minimality_suite(cfg: OptimizerConfig | None = None, seed: int = 0) -> dict:
             ok = rep.minimal == expect
         full_support = None
         if rep.minimal:
-            full_support = bool((rep.argmax.weights > cfg.support_threshold).all())
+            full_support = bool((rep.argmax.weights > SUPPORT_THRESHOLD).all())
             ok = ok and full_support
         all_ok = all_ok and ok
         cases.append({

@@ -225,6 +225,7 @@ class Hypergraph(_EdgeArray):
         return f"Hypergraph(n={self.n}, r={self.r}, edges={self.edge_count})"
 
 
+EDGE_PROBABILITY = 0.5  # random_pattern keeps each multiset with this probability
 _EDGE_CHUNK = 4096  # rows turned into tuples at a time, so no list of lists is held in full
 _INTP_MAX = np.iinfo(np.intp).max
 
@@ -490,19 +491,13 @@ def _document(obj: Pattern | Hypergraph) -> dict:
     return {"r": obj.r, obj._size_key: obj._size, "edges": obj.rows.tolist()}
 
 
-def _dumps(doc: dict, pretty: bool) -> str:
-    if pretty:
-        return json.dumps(doc, indent=2)
-    return json.dumps(doc, separators=(",", ":"))
-
-
-def pattern_to_json(P: Pattern, *, pretty: bool = False) -> str:
+def pattern_to_json(P: Pattern) -> str:
     """Canonical text form: sorted expansions, edge list sorted lexicographically."""
-    return _dumps(_document(P), pretty)
+    return json.dumps(_document(P), separators=(",", ":"))
 
 
-def hypergraph_to_json(G: Hypergraph, *, pretty: bool = False) -> str:
-    return _dumps(_document(G), pretty)
+def hypergraph_to_json(G: Hypergraph) -> str:
+    return json.dumps(_document(G), separators=(",", ":"))
 
 
 def _parse(text: str) -> dict:
@@ -562,14 +557,14 @@ def load_any(path) -> Pattern | Hypergraph:
     return _from_doc(doc, Hypergraph if hypergraph else Pattern)
 
 
-def save_pattern(P: Pattern, path, *, pretty: bool = False) -> None:
+def save_pattern(P: Pattern, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(pattern_to_json(P, pretty=pretty) + "\n")
+        fh.write(pattern_to_json(P) + "\n")
 
 
-def save_hypergraph(G: Hypergraph, path, *, pretty: bool = False) -> None:
+def save_hypergraph(G: Hypergraph, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(hypergraph_to_json(G, pretty=pretty) + "\n")
+        fh.write(hypergraph_to_json(G) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -619,10 +614,9 @@ def offdiagonal_pattern(m: int, r: int) -> Pattern:
     return Pattern(m, r, edges)
 
 
-def random_pattern(rng, m: int, r: int, *, edge_probability: float = 0.5,
-                   allow_empty: bool = True,
+def random_pattern(rng, m: int, r: int, *, allow_empty: bool = True,
                    exclude: Iterable[Multiset | Iterable[int]] = ()) -> Pattern:
-    """Sample a pattern by keeping each r-multiset on {1..m} independently.
+    """Keep each r-multiset on {1..m} independently with probability EDGE_PROBABILITY.
 
     rng is a numpy Generator (anything with .random() works).  Multisets in
     exclude are never drawn.  When allow_empty is false and the draw comes
@@ -630,7 +624,7 @@ def random_pattern(rng, m: int, r: int, *, edge_probability: float = 0.5,
     """
     banned = {(e if isinstance(e, Multiset) else Multiset(e)).expansion for e in exclude}
     universe = [e for e in iter_multisets(range(1, m + 1), r) if e not in banned]
-    edges = [e for e in universe if rng.random() < edge_probability]
+    edges = [e for e in universe if rng.random() < EDGE_PROBABILITY]
     if not edges and not allow_empty:
         if not universe:
             raise ValueError("every multiset is excluded; cannot force an edge")

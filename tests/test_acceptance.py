@@ -79,7 +79,7 @@ def test_criterion_03_decomposition_identity():
 
 
 def test_criterion_04_union_lagrangian_reduction():
-    report = pl.union_lambda_suite(seed=0, per_shape=2)
+    report = pl.union_lambda_suite(seed=0)
     ok = report["passed"] and report["instances"] >= 20 and report["max_gap"] < 1e-6
     _verdict(4, ok, f"{report['instances']} instances (m1,m2 <= 3), "
                     f"max |direct - reduced| = {report['max_gap']:.2e} (tol 1e-6)")
@@ -139,7 +139,7 @@ def test_criterion_07_monotonicity_and_construction():
             sizes = [int(rng.integers(0, 4)) for _ in range(m)]
             if 3 <= sum(sizes) <= 8:
                 break
-        chk = pl.construction_lagrangian_check(P, sizes, slack=1e-8)
+        chk = pl.construction_lagrangian_check(P, sizes)
         worst_con = max(worst_con, chk.construction_value - chk.pattern_value)
     ok = worst_mono <= 1e-8 and worst_con <= 1e-8
     _verdict(7, ok, f"restriction monotonicity worst excess {worst_mono:.2e} "

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import patternlab as pl
-from patternlab import Multiset, OptimizerConfig, Pattern, ReducedObjective, UnionLabeling
+from patternlab import Multiset, OptimizerConfig, Pattern, ReducedObjective, UnionLabeling, algebra
 from patternlab.errors import CapExceeded
 from patternlab.lagrangian import eval_lagrange_unnormalized
 
@@ -138,17 +138,19 @@ def test_union_full_glue_of_hypergraph_pattern():
     assert U.m == 2 * 3
 
 
-def test_union_edge_product_cap():
+def test_union_edge_product_cap(monkeypatch):
     # offdiagonal(3,3) (six edges <i,i,j> and <1,2,3>) glued on every index
     # of itself: 3 * 7 inner images, C(4,2) * 3 = 18 refills of each <i,i,j>
     # and 3^3 = 27 of <1,2,3>.
     P = pl.offdiagonal_pattern(3, 3)
     glue = (1, 2, 3)
     images = 3 * 7 + 6 * 18 + 27
-    U, _ = pl.union_on_set(P, P, glue, cap=images)
+    monkeypatch.setattr(algebra, "UNION_CAP", images)
+    U, _ = pl.union_on_set(P, P, glue)
     assert U.edge_count == images
+    monkeypatch.setattr(algebra, "UNION_CAP", images - 1)
     with pytest.raises(CapExceeded):
-        pl.union_on_set(P, P, glue, cap=images - 1)
+        pl.union_on_set(P, P, glue)
 
 
 def reference_union_on_set(P1, P2, glue):
@@ -435,7 +437,7 @@ def test_verify_union_lambda_empty_inner(pb):
 
 def test_verify_union_lambda_cap(pb):
     with pytest.raises(CapExceeded):
-        pl.verify_union_lambda(pb, pl.complete_pattern(20, 3), (1,), max_indices=16)
+        pl.verify_union_lambda(pb, pl.complete_pattern(20, 3), (1,))
 
 
 # ---------------------------------------------------------------------------
@@ -500,6 +502,6 @@ def test_decomposition_suite_passes():
 
 
 def test_union_lambda_suite_passes():
-    report = pl.union_lambda_suite(seed=5, per_shape=1)
+    report = pl.union_lambda_suite(seed=5)
     assert report["passed"], report
     assert report["instances"] >= 18

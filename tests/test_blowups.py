@@ -183,9 +183,28 @@ def test_blowup_past_uint8_vertices():
     assert G.edges == reference_blowup_edges(P, sizes)
 
 
-def test_blowup_cap(p112):
+def test_blowup_cap(monkeypatch, p112):
+    monkeypatch.setattr(blowups, "MATERIALIZE_CAP", 1000)
     with pytest.raises(CapExceeded):
-        pl.blowup(p112, (3000, 3000), cap=1000)
+        pl.blowup(p112, (3000, 3000))
+
+
+def test_blowup_cap_boundary_checked_before_enumeration(monkeypatch, p112):
+    # C(n, r) candidate r-sets at exactly the cap pass; one more raises, and
+    # no edge is enumerated first.
+    sizes = (4, 3)
+    candidates = math.comb(7, 3)
+    monkeypatch.setattr(blowups, "MATERIALIZE_CAP", candidates)
+    G, _ = pl.blowup(p112, sizes)
+    assert G.edge_count == pl.blowup_edge_count(p112, sizes)
+
+    def unexpected(*args, **kwargs):
+        raise AssertionError("enumerated past a failed check")
+
+    monkeypatch.setattr(blowups, "_substitute", unexpected)
+    monkeypatch.setattr(blowups, "MATERIALIZE_CAP", candidates - 1)
+    with pytest.raises(CapExceeded):
+        pl.blowup(p112, sizes)
 
 
 def test_blowup_wrong_size_count(p112):
@@ -310,12 +329,12 @@ def test_construction_random_inequality(rng):
         sizes = [int(rng.integers(0, 4)) for _ in range(m)]
         if sum(sizes) < 3:
             sizes[0] += 3
-        chk = pl.construction_lagrangian_check(P, sizes, cfg, slack=1e-8)
+        chk = pl.construction_lagrangian_check(P, sizes, cfg)
         assert chk.ok, (P, sizes, chk)
 
 
 def test_construction_suite_passes():
-    report = pl.construction_suite(trials=10, seed=3)
+    report = pl.construction_suite(seed=3)
     assert report["passed"], report
 
 
@@ -373,6 +392,16 @@ def test_sequence_errors(pb):
         pl.sequence_check([], 2, 0.5, 0.01)
 
 
+def test_sequence_verdicts_are_worded_as_float_evidence(p112, pb):
+    # Lagrangians 3/4 (pb) and 4/9 (p112); k = 2 takes each pattern whole.
+    fail2_pass3 = pl.sequence_check([pb], 2, 0.75, 0.01).verdicts
+    pass2_fail3 = pl.sequence_check([p112], 2, 0.1, 0.01).verdicts
+    assert fail2_pass3["condition2"] == "fail (lower-bound evidence did not reach lambda0 + eps)"
+    assert fail2_pass3["condition3"] == "pass (evidence; optimizer values are lower bounds)"
+    assert pass2_fail3["condition2"] == "pass (optimizer float values, lower bounds up to rounding)"
+    assert pass2_fail3["condition3"] == "fail (conclusive: a subpattern lower bound exceeds lambda0)"
+
+
 def test_sequence_worst_subset_is_exhaustive(pb):
     rep = pl.sequence_check([pl.complete_pattern(4, 3)], 2, 1.0, 0.0)
     per = rep.per_t[0]
@@ -398,3 +427,13 @@ def test_sequence_cap_checked_before_maximizing(monkeypatch):
     monkeypatch.setattr(blowups, "SEQUENCE_CAP", subsets)
     with pytest.raises(Reached):
         pl.sequence_check(patterns, 2, 0.5, 0.01)
+
+
+@pytest.mark.parametrize("k", [0, -1])
+def test_sequence_k_checked_before_maximizing(monkeypatch, pb, k):
+    def unexpected(*args, **kwargs):
+        raise AssertionError("maximized before checking k")
+
+    monkeypatch.setattr(blowups, "maximize", unexpected)
+    with pytest.raises(ValueError, match=f"^k must be >= 1, got {k}$"):
+        pl.sequence_check([pb, pb], k, 0.5, 0.01)

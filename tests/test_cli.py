@@ -321,6 +321,18 @@ def test_check_sequence_eps_entries_must_be_numbers(capsys, tmp_path, text, want
     assert captured.err == f"patternlab: eps file: {want}\n"
 
 
+@pytest.mark.parametrize("k", ["0", "-1"])
+def test_check_sequence_k_below_one_exits_2(capsys, tmp_path, k):
+    seq = _write_sequence(tmp_path, [pl.offdiagonal_pattern(3, 3)])
+    eps = tmp_path / "eps.json"
+    eps.write_text("0.01")
+    code = main(["check-sequence", str(seq), f"--k={k}", "--lambda0", "0.1",
+                 "--eps-file", str(eps)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"patternlab: k must be >= 1, got {k}\n"
+
+
 @pytest.mark.parametrize("lambda0", ["nan", "inf", "-inf"])
 def test_check_sequence_lambda0_must_be_finite(capsys, tmp_path, lambda0):
     seq = _write_sequence(tmp_path, [pl.offdiagonal_pattern(3, 3)])

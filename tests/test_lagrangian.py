@@ -340,9 +340,10 @@ def test_oracle_gap_closes(rng):
         assert rep.value - float(pl.grid_oracle(P, 60)) < 1e-3
 
 
-def test_grid_oracle_cap_and_domain(p112):
+def test_grid_oracle_cap_and_domain(monkeypatch, p112):
+    monkeypatch.setattr(lagrangian, "GRID_CAP", 10_000)
     with pytest.raises(CapExceeded):
-        pl.grid_oracle(pl.complete_pattern(8, 3), 400, cap=10_000)
+        pl.grid_oracle(pl.complete_pattern(8, 3), 400)
     with pytest.raises(ValueError):
         pl.grid_oracle(p112, 0)
 
@@ -463,10 +464,28 @@ def test_grid_oracle_checks_run_before_enumeration(monkeypatch, p112):
         raise AssertionError("enumerated past a failed check")
 
     monkeypatch.setattr(lagrangian, "_grid_chunks", unexpected)
+    monkeypatch.setattr(lagrangian, "GRID_CAP", 10_000)
     with pytest.raises(CapExceeded):
-        pl.grid_oracle(pl.complete_pattern(8, 3), 400, cap=10_000)
+        pl.grid_oracle(pl.complete_pattern(8, 3), 400)
     with pytest.raises(ValueError):
         pl.grid_oracle(p112, 0)
+
+
+def test_grid_cap_boundary_checked_before_enumeration(monkeypatch):
+    # C(d+m-1, m-1) grid points at exactly the cap pass; one more raises, and
+    # no point is enumerated first.
+    P, d = pl.complete_pattern(4, 3), 12
+    points = math.comb(d + 3, 3)
+    monkeypatch.setattr(lagrangian, "GRID_CAP", points)
+    assert pl.grid_oracle(P, d) == reference_grid_oracle(P, d)
+
+    def unexpected(d, m):
+        raise AssertionError("enumerated past a failed check")
+
+    monkeypatch.setattr(lagrangian, "_grid_chunks", unexpected)
+    monkeypatch.setattr(lagrangian, "GRID_CAP", points - 1)
+    with pytest.raises(CapExceeded):
+        pl.grid_oracle(P, d)
 
 
 def test_optimizer_never_beaten_by_oracle(rng):
@@ -517,7 +536,7 @@ def test_minimal_patterns_have_full_support_argmax(rng):
         if rep.minimal:
             found += 1
             arg = pl.maximize(P, cfg).argmax
-            assert (arg.weights > cfg.support_threshold).all()
+            assert (arg.weights > lagrangian.SUPPORT_THRESHOLD).all()
     assert found > 0
 
 
