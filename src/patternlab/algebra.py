@@ -322,19 +322,6 @@ class CatalogEntry:
     source: str
     note: str = ""
 
-    def to_dict(self) -> dict:
-        out = {
-            "statement": self.statement,
-            "status": self.status,
-            "source": self.source,
-        }
-        if self.value is not None:
-            out["value"] = f"{self.value.numerator}/{self.value.denominator}"
-            out["value_float"] = float(self.value)
-        if self.note:
-            out["note"] = self.note
-        return out
-
 
 def nonjump_catalog(r: int, *, frankl_rodl_l: Iterable[int] = ()) -> list[CatalogEntry]:
     """Known non-jump densities for uniformity r, as exact rationals.
@@ -429,6 +416,8 @@ def decomposition_suite(trials: int = 200, seed: int = 0) -> dict:
     Also spot-checks the multinomial power collapse for every block size up
     to 5 and every exponent up to SUITE_R.  Returns a JSON-ready report.
     """
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     r = SUITE_R
     rng = np.random.default_rng(seed)
     max_gap = 0.0
@@ -439,8 +428,7 @@ def decomposition_suite(trials: int = 200, seed: int = 0) -> dict:
         # Sample within the identity's hypothesis: no glued-index diagonal.
         P1 = random_pattern(rng, m1, r, exclude=[[i] * r])
         P2 = random_pattern(rng, m2, r)
-        U, _ = union_on_set(P1, P2, (i,))
-        x = _random_simplex(rng, U.m)
+        x = _random_simplex(rng, m1 + m2 - 1)  # the glued pattern's m
         lhs, rhs = eval_decomposition(P1, P2, (i,), x)
         max_gap = max(max_gap, abs(lhs - rhs))
     power_gap = 0.0

@@ -204,18 +204,6 @@ class PerTermCheck:
     worst_subset_value: float
     cond3_ok: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "t": self.t,
-            "m": self.m,
-            "lambda_value": self.lambda_value,
-            "eps": self.eps,
-            "cond2_ok": self.cond2_ok,
-            "worst_subset": list(self.worst_subset),
-            "worst_subset_value": self.worst_subset_value,
-            "cond3_ok": self.cond3_ok,
-        }
-
 
 @dataclass
 class SequenceCheckReport:
@@ -238,18 +226,6 @@ class SequenceCheckReport:
     @property
     def ok(self) -> bool:
         return self.cond2_all and self.cond3_all
-
-    def to_dict(self) -> dict:
-        return {
-            "lambda0": self.lambda0,
-            "k": self.k,
-            "per_t": [p.to_dict() for p in self.per_t],
-            "trend_slope": self.trend_slope,
-            "cond2_all": self.cond2_all,
-            "cond3_all": self.cond3_all,
-            "verdicts": self.verdicts,
-            "ok": self.ok,
-        }
 
 
 def sequence_check(patterns: Sequence[Pattern], k: int, lambda0: float,

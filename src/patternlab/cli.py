@@ -3,7 +3,8 @@
 Every subcommand prints a single JSON document on stdout embedding a run
 manifest (command line, effective config, input file hashes, tool version,
 seed), so identical invocations on identical inputs produce byte-identical
-output.  Wall-clock time goes to stderr; --timing copies it into the
+output.  The library returns result records; this module alone turns them
+into JSON.  Wall-clock time goes to stderr; --timing copies it into the
 manifest (at the cost of bytewise reproducibility).
 
 Exit codes: 0 ok, 2 bad input, 3 resource cap exceeded, 4 verification
@@ -21,7 +22,7 @@ import os
 import re
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict
 from fractions import Fraction
 
 from . import __version__
@@ -39,30 +40,6 @@ EXIT_RESOURCE = 3
 EXIT_VERIFICATION = 4
 
 
-@dataclass
-class RunManifest:
-    """Reproducibility record embedded in every report."""
-
-    command: list[str]
-    config: dict
-    input_hashes: dict[str, str]
-    version: str
-    seed: int | None
-    wall_clock_s: float | None = None
-
-    def to_dict(self, *, include_timing: bool = False) -> dict:
-        out = {
-            "command": self.command,
-            "config": self.config,
-            "input_hashes": self.input_hashes,
-            "version": self.version,
-            "seed": self.seed,
-        }
-        if include_timing and self.wall_clock_s is not None:
-            out["wall_clock_s"] = self.wall_clock_s
-        return out
-
-
 def _sha256(path: str) -> str:
     with open(path, "rb") as fh:
         return hashlib.sha256(fh.read()).hexdigest()
@@ -70,6 +47,10 @@ def _sha256(path: str) -> str:
 
 def _fraction_dict(value) -> dict:
     return {"value": f"{value.numerator}/{value.denominator}", "value_float": float(value)}
+
+
+def _report_dict(rep) -> dict:
+    return {**asdict(rep), "argmax": rep.argmax.weights.tolist()}
 
 
 def _optimizer_flags(parser: argparse.ArgumentParser) -> None:
@@ -114,15 +95,15 @@ def _cmd_lambda(args) -> tuple[dict, int, list[str]]:
         P = obj
     cfg = _config_of(args)
     rep = maximize(P, cfg)
-    result = {"input": source, "report": rep.to_dict()}
+    result = {"input": source, "report": _report_dict(rep)}
     code = EXIT_OK
     if args.grid_denominator is not None:
         oracle = grid_oracle(P, args.grid_denominator)
-        rep.oracle_gap = rep.value - float(oracle)
-        result["report"] = rep.to_dict()
+        gap = rep.value - float(oracle)
+        result["report"]["oracle_gap"] = gap
         result["grid_oracle"] = {"denominator": args.grid_denominator,
                                  **_fraction_dict(oracle)}
-        if rep.oracle_gap < -1e-9:
+        if gap < -1e-9:
             # The exact grid beat the optimizer: the reported maximum is not
             # the Lagrangian.  Surface it loudly.
             result["oracle_violation"] = True
@@ -162,7 +143,7 @@ def _cmd_mapf(args) -> tuple[dict, int, list[str]]:
         "glue": list(glue),
         "lambda2": args.lambda2,
         "value": rep.value,
-        "report": rep.to_dict(),
+        "report": _report_dict(rep),
     }
     return result, EXIT_OK, [args.pattern]
 
@@ -242,15 +223,21 @@ def _cmd_check_sequence(args) -> tuple[dict, int, list[str]]:
             raise FormatError(f"eps file: {where} must be finite, got {json.dumps(value)}")
     cfg = _config_of(args)
     report = sequence_check(patterns, args.k, args.lambda0, eps, cfg)
-    result = {"terms": names, **report.to_dict()}
+    result = {"terms": names, **asdict(report), "ok": report.ok}
     return result, EXIT_OK if report.ok else EXIT_VERIFICATION, paths + [args.eps_file]
 
 
 def _cmd_catalog(args) -> tuple[dict, int, list[str]]:
     l_values = _csv_ints(args.frankl_rodl_l) if args.frankl_rodl_l else ()
-    entries = nonjump_catalog(args.r, frankl_rodl_l=l_values)
-    result = {"r": args.r, "entries": [e.to_dict() for e in entries]}
-    return result, EXIT_OK, []
+    entries = []
+    for e in nonjump_catalog(args.r, frankl_rodl_l=l_values):
+        entry = {"statement": e.statement, "status": e.status, "source": e.source}
+        if e.value is not None:
+            entry.update(_fraction_dict(e.value))
+        if e.note:
+            entry["note"] = e.note
+        entries.append(entry)
+    return {"r": args.r, "entries": entries}, EXIT_OK, []
 
 
 # ---------------------------------------------------------------------------
@@ -359,15 +346,16 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_INPUT
     elapsed = time.perf_counter() - started
 
-    manifest = RunManifest(
-        command=["patternlab"] + argv,
-        config=_manifest_config(args),
-        input_hashes=hashes,
-        version=__version__,
-        seed=getattr(args, "seed", None),
-        wall_clock_s=elapsed,
-    )
-    doc = {"manifest": manifest.to_dict(include_timing=args.timing), "result": result}
+    manifest = {
+        "command": ["patternlab"] + argv,
+        "config": _manifest_config(args),
+        "input_hashes": hashes,
+        "version": __version__,
+        "seed": getattr(args, "seed", None),
+    }
+    if args.timing:
+        manifest["wall_clock_s"] = elapsed
+    doc = {"manifest": manifest, "result": result}
     text = json.dumps(doc, indent=2) if args.pretty else json.dumps(doc, separators=(",", ":"))
     try:
         print(text, flush=True)

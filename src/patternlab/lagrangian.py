@@ -133,8 +133,8 @@ class OptimizerConfig:
     def __post_init__(self):
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be > 0")
+        if not 0 < self.tolerance < math.inf:  # also false for NaN
+            raise ValueError(f"tolerance must be finite and > 0, got {self.tolerance}")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
 
@@ -148,8 +148,7 @@ class OptimizerReport:
     1-based coordinates of argmax above SUPPORT_THRESHOLD.
     restarts_used counts the start rows actually searched: one subset
     barycenter per orbit of the twin-class permutations, plus the random
-    starts.  oracle_gap is value minus an exact grid-oracle value when one
-    was requested.
+    starts.
     """
 
     value: float
@@ -158,20 +157,6 @@ class OptimizerReport:
     restarts_used: int
     converged: bool
     kkt_residual: float
-    oracle_gap: float | None = None
-
-    def to_dict(self) -> dict:
-        out = {
-            "value": self.value,
-            "argmax": self.argmax.weights.tolist(),
-            "support": list(self.support),
-            "restarts_used": self.restarts_used,
-            "converged": self.converged,
-            "kkt_residual": self.kkt_residual,
-        }
-        if self.oracle_gap is not None:
-            out["oracle_gap"] = self.oracle_gap
-        return out
 
 
 # ---------------------------------------------------------------------------
@@ -186,7 +171,9 @@ class _Poly:
     with 0-based indices, so the edge <1,1,2> owns slots (0, 0, 1); coef[e]
     is its coefficient, r!/prod(mult!) for a pattern edge.  Each term is the
     product of the weights in its r slots, so every kernel gathers r columns
-    of the point matrix and costs O(S*E*r) for S points, whatever m is.
+    of the point matrix.  For S points the value costs O(S*E*r), whatever m
+    is; the gradient adds an (S x r*E) by (r*E x m) matmul against the
+    scatter matrix held here, and the Hessians are S x m x m.
     The value, gradient and Hessian kernels take block rows at a time, so
     each S x E temporary stays cache-sized (256 KB) however many points are
     passed; a single point is one block.

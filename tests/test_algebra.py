@@ -501,6 +501,14 @@ def test_decomposition_suite_passes():
     assert report["power_identity_max_gap"] < 1e-12
 
 
+@pytest.mark.parametrize("trials", [0, -3])
+def test_decomposition_suite_rejects_trials_below_one(monkeypatch, trials):
+    # a run of no trials checks nothing, so it must not report a pass
+    monkeypatch.setattr(algebra, "random_pattern", lambda *a, **k: pytest.fail("drew a trial"))
+    with pytest.raises(ValueError, match=f"trials must be >= 1, got {trials}"):
+        pl.decomposition_suite(trials=trials)
+
+
 def test_union_lambda_suite_passes():
     report = pl.union_lambda_suite(seed=5)
     assert report["passed"], report

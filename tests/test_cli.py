@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import pathlib
@@ -7,15 +8,27 @@ import sys
 import pytest
 
 import patternlab as pl
-from patternlab.cli import main
+from patternlab.cli import _build_parser, main
 from patternlab.data import example_path, list_examples
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not valid JSON")
+
+
+def strict_json(text):
+    # json.dumps writes NaN and Infinity, which strict JSON readers reject
+    return json.loads(text, parse_constant=_reject_constant)
 
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
-    doc = json.loads(captured.out) if captured.out.strip() else None
+    doc = strict_json(captured.out) if captured.out.strip() else None
     return code, doc
+
+
+REPORT_KEYS = ["value", "argmax", "support", "restarts_used", "converged", "kkt_residual"]
 
 
 # ---------------------------------------------------------------------------
@@ -27,6 +40,8 @@ def test_lambda_heavy_edge_file(capsys):
     code, doc = run_cli(capsys, "lambda", str(example_path("p_112.json")))
     assert code == 0
     assert doc["result"]["report"]["value"] == pytest.approx(4 / 9, abs=1e-9)
+    assert list(doc["result"]) == ["input", "report"]
+    assert list(doc["result"]["report"]) == REPORT_KEYS
     assert doc["manifest"]["version"] == pl.__version__
     assert doc["manifest"]["input_hashes"]
 
@@ -52,6 +67,17 @@ def test_lambda_triple_with_grid_oracle(capsys):
     assert rep["value"] == pytest.approx(2 / 9, abs=1e-9)
     assert doc["result"]["grid_oracle"]["value"] == "2/9"
     assert abs(rep["oracle_gap"]) < 1e-9
+    assert list(doc["result"]) == ["input", "report", "grid_oracle"]
+    assert list(rep) == REPORT_KEYS + ["oracle_gap"]
+    assert list(doc["result"]["grid_oracle"]) == ["denominator", "value", "value_float"]
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-inf"])
+def test_lambda_tol_must_be_finite(capsys, tol):
+    code = main(["lambda", str(example_path("k5.json")), f"--tol={tol}"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"patternlab: tolerance must be finite and > 0, got {float(tol)}\n"
 
 
 def test_lambda_parse_failure_exits_2(capsys, tmp_path):
@@ -149,6 +175,8 @@ def test_mapf_grosu_zero(capsys):
                         "--glue-set", "all", "--lambda", "0")
     assert code == 0
     assert doc["result"]["value"] == pytest.approx(0.75, abs=1e-9)
+    assert list(doc["result"]) == ["glue", "lambda2", "value", "report"]
+    assert list(doc["result"]["report"]) == REPORT_KEYS
 
 
 def test_mapf_single_glue(capsys):
@@ -189,6 +217,11 @@ def test_catalog_r3(capsys):
     assert values["54*r!/(25*r^r)"] == "12/25"
     sources = {e["source"] for e in doc["result"]["entries"]}
     assert any("Erdos" in s for s in sources)
+    keys = {e["statement"]: list(e) for e in doc["result"]["entries"]}
+    head = ["statement", "status", "source"]
+    assert keys["r!/r^r"] == head + ["value", "value_float", "note"]
+    assert keys["5*r!/(2*r^r)"] == head + ["value", "value_float"]
+    assert keys["1 - 1/l^(r-1), l > 2r"] == head + ["note"]
 
 
 def test_catalog_r2_exits_2(capsys):
@@ -234,6 +267,14 @@ def test_verify_decomposition(capsys):
     suite = doc["result"]["suites"][0]
     assert suite["max_gap"] < 1e-12
     assert doc["result"]["passed"]
+
+
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_verify_trials_below_one_exits_2(capsys, trials):
+    code = main(["verify", "decomposition", f"--trials={trials}"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"patternlab: trials must be >= 1, got {trials}\n"
 
 
 def test_verify_minimality(capsys):
@@ -285,6 +326,11 @@ def test_check_sequence_passing(capsys, tmp_path):
     assert code == 0
     assert doc["result"]["cond2_all"] and doc["result"]["cond3_all"]
     assert doc["result"]["terms"] == ["term_00.json", "term_01.json"]
+    assert list(doc["result"]) == ["terms", "lambda0", "k", "per_t", "trend_slope",
+                                   "cond2_all", "cond3_all", "verdicts", "ok"]
+    for row in doc["result"]["per_t"]:
+        assert list(row) == ["t", "m", "lambda_value", "eps", "cond2_ok", "worst_subset",
+                             "worst_subset_value", "cond3_ok"]
 
 
 def test_check_sequence_bad_eps_exits_2(capsys, tmp_path):
@@ -370,10 +416,38 @@ def test_same_invocation_is_byte_identical(capsys):
 
 
 def test_manifest_excludes_wall_clock_by_default(capsys):
+    keys = ["command", "config", "input_hashes", "version", "seed"]
     code, doc = run_cli(capsys, "lambda", str(example_path("empty.json")))
-    assert "wall_clock_s" not in doc["manifest"]
+    assert list(doc) == ["manifest", "result"]
+    assert list(doc["manifest"]) == keys
     code, doc = run_cli(capsys, "--timing", "lambda", str(example_path("empty.json")))
-    assert "wall_clock_s" in doc["manifest"]
+    assert list(doc["manifest"]) == keys + ["wall_clock_s"]
+    assert doc["manifest"]["wall_clock_s"] >= 0
+
+
+def test_every_subcommand_prints_strict_json(capsys, tmp_path):
+    p112 = str(example_path("p_112.json"))
+    graph = tmp_path / "g.json"
+    seq = _write_sequence(tmp_path, [pl.complete_pattern(4, 3)])
+    eps = tmp_path / "eps.json"
+    eps.write_text("0.01")
+    runs = {
+        "lambda": ["lambda", p112, "--grid-denominator", "3"],
+        "union": ["union", p112, p112, "--on", "2"],
+        "mapf": ["mapf", "--pattern", p112, "--glue", "2", "--lambda", "0.5"],
+        "blowup": ["blowup", "--pattern", p112, "--sizes", "2,2", "--out", str(graph)],
+        "density": ["density", str(graph)],
+        "verify": ["verify", "decomposition", "--trials", "5"],
+        "check-sequence": ["check-sequence", str(seq), "--k", "2", "--lambda0", "0.3",
+                           "--eps-file", str(eps)],
+        "catalog": ["catalog", "--r", "3", "--frankl-rodl-l", "7"],
+    }
+    sub = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert sorted(runs) == sorted(sub.choices)
+    for name, argv in runs.items():
+        for pretty in ([], ["--pretty"]):
+            assert main(pretty + argv) == 0, name
+            assert strict_json(capsys.readouterr().out)["result"], name
 
 
 def test_pretty_mode(capsys):

@@ -49,7 +49,7 @@ SIGNATURES = {
     "SimplexPoint": ("weights",),
     "OptimizerConfig": ("restarts", "max_iterations", "tolerance", "seed"),
     "OptimizerReport": ("value", "argmax", "support", "restarts_used", "converged",
-                        "kkt_residual", "oracle_gap"),
+                        "kkt_residual"),
     "MinimalityReport": ("minimal", "value", "margins", "converged", "argmax"),
     "eval_lagrange": ("P", "x"),
     "eval_lagrange_unnormalized": ("P", "y"),

@@ -225,6 +225,9 @@ def test_optimizer_config_validation():
         OptimizerConfig(tolerance=0.0)
     with pytest.raises(ValueError):
         OptimizerConfig(max_iterations=0)
+    for tolerance in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="tolerance must be finite and > 0"):
+            OptimizerConfig(tolerance=tolerance)
 
 
 def test_maximize_nonconvergence_is_flagged_not_silent(p112):
