@@ -10,10 +10,14 @@ densities over large blowups of P.  Global maximization is NP-hard in
 general (it contains max-clique through the Motzkin-Straus identity), so
 :func:`maximize` reports the best point that multistart projected gradient
 ascent finds, with the polynomial's float value there (a lower bound on the
-Lagrangian only up to float rounding) and the KKT stationarity residual, and
-:func:`grid_oracle` provides exact rational grid maxima as independent
-ground truth at desk scale: one integer numpy pass over the
-denominator-d grid, enumerated by stars and bars in bounded chunks.
+Lagrangian only up to float rounding) and the KKT stationarity residual.
+Before any ascent, exact integer Bernstein coefficients on the twin chamber
+(the points whose coordinates decrease within each class of interchangeable
+indices) can prove a start row a maximizer; that certified point is then a
+proven maximizer, and no row advances.  :func:`grid_oracle` provides exact
+rational grid maxima as independent ground truth at desk scale: one integer
+numpy pass over the denominator-d grid, enumerated by stars and bars in
+bounded chunks.
 """
 
 from __future__ import annotations
@@ -66,6 +70,7 @@ ARMIJO_INCREASE = 1e-2
 SUPPORT_THRESHOLD = 1e-7  # argmax coordinates above this form the reported support
 KKT_POLISH_STEPS = 25  # max Newton steps per support face in _kkt_polish_rows
 GRID_CAP = 1_000_000  # max C(d+m-1, m-1) grid points enumerated by grid_oracle
+CHAMBER_CAP = 2**18  # max m**r coefficients of the twin-chamber certificate
 MINIMALITY_MARGIN = 1e-9  # least value drop, per removed index, of a minimal pattern
 
 
@@ -144,11 +149,13 @@ class OptimizerReport:
     """Outcome of a simplex maximization.
 
     value is the polynomial's float value at argmax, so it is a lower bound
-    on the true maximum only up to float rounding.  support lists the
-    1-based coordinates of argmax above SUPPORT_THRESHOLD.
-    restarts_used counts the start rows actually searched: one subset
-    barycenter per orbit of the twin-class permutations, plus the random
-    starts.
+    on the true maximum only up to float rounding.  When the polynomial's
+    exact Bernstein certificate holds at a start row, no row is advanced:
+    that row is a proven maximizer, and argmax is it or a start row whose
+    value ties it within 1e-12.  support lists the 1-based coordinates of
+    argmax above SUPPORT_THRESHOLD.  restarts_used counts the start rows
+    built: one subset barycenter per orbit of the twin-class permutations,
+    plus the random starts.
     """
 
     value: float
@@ -162,6 +169,9 @@ class OptimizerReport:
 # ---------------------------------------------------------------------------
 # Polynomial tables
 # ---------------------------------------------------------------------------
+
+
+_UNBUILT = object()  # a lazily built _Poly attribute that may itself be None
 
 
 class _Poly:
@@ -179,8 +189,8 @@ class _Poly:
     passed; a single point is one block.
     """
 
-    __slots__ = ("slots", "coef", "m", "r", "block", "_scatter", "_merged", "_bound",
-                 "_twins")
+    __slots__ = ("slots", "coef", "m", "r", "block", "_scatter", "_merged", "_twins",
+                 "_certificate")
 
     def __init__(self, slots: np.ndarray, coef: np.ndarray, m: int):
         slots.setflags(write=False)
@@ -192,8 +202,8 @@ class _Poly:
         self.block = max(16, 32768 // max(1, slots.shape[1]))
         self._scatter = None
         self._merged = None
-        self._bound = None
         self._twins = None
+        self._certificate = _UNBUILT
 
     @property
     def scatter(self) -> np.ndarray:
@@ -226,22 +236,6 @@ class _Poly:
         return self._merged
 
     @property
-    def bound(self) -> float:
-        """An upper bound of the polynomial on the simplex: the largest ratio
-        of a monomial's summed coefficient to its multinomial coefficient.
-
-        The multinomial-weighted monomials of degree r sum to
-        (x_1 + ... + x_m)^r = 1 there, so the polynomial is a convex
-        combination of these ratios (0 for absent monomials).  Every edge of
-        a pattern has ratio exactly 1.  Built on first use, like scatter.
-        """
-        if self._bound is None:
-            monomials, summed = self.merged
-            ratio = summed / _multinomials(monomials).astype(float)
-            self._bound = float(ratio.max(initial=0.0))
-        return self._bound
-
-    @property
     def twins(self) -> tuple[tuple[int, ...], ...]:
         """The twin classes: the partition of the 0-based indices in which i
         and j share a class when swapping them maps every merged monomial,
@@ -254,6 +248,28 @@ class _Poly:
         if self._twins is None:
             self._twins = _twin_classes(*self.merged, self.m)
         return self._twins
+
+    @property
+    def certificate(self) -> tuple[Fraction, tuple[tuple[int, ...], ...]] | None:
+        """(value, vertices) when exact Bernstein coefficients prove the
+        maximum: value is the largest coefficient on a piece that covers the
+        simplex up to the twin-class permutations, and it is attained at
+        each listed vertex of the piece, the uniform point on those 0-based
+        indices.  None when the largest coefficient is at no vertex.
+
+        The piece is the twin chamber (see _chamber_piece); with only
+        singleton classes, or past CHAMBER_CAP, it is the whole simplex
+        (_identity_piece).  On a piece the polynomial is a convex combination
+        of its Bernstein coefficients, and the coefficient at a vertex is the
+        value there, so such a vertex is a proven maximizer and value is the
+        exact maximum of the polynomial with the float coefficients held
+        here.  Built on first use, like scatter."""
+        if self._certificate is _UNBUILT:
+            singletons = all(len(members) == 1 for members in self.twins)
+            piece = (_identity_piece(self) if singletons or self.m**self.r > CHAMBER_CAP
+                     else _chamber_piece(self))
+            self._certificate = _certify(*piece)
+        return self._certificate
 
     def plus_powers(self, indices, weight: float) -> "_Poly":
         """This polynomial plus weight * sum of x_i^r over 0-based indices."""
@@ -329,6 +345,100 @@ def _swap_fixes(monomials: np.ndarray, coef_id: np.ndarray, i: int, j: int) -> b
     order = np.lexsort(after[::-1])
     return (np.array_equal(after[:, order], before)
             and np.array_equal(coef_id[held[order]], coef_id[held]))
+
+
+def _exact_integers(values: np.ndarray) -> tuple[np.ndarray, int]:
+    """(n, k) with values == n / 2**k exactly and the least k >= 0: a float's
+    denominator is a power of two.  n is int64 when the values are integers
+    that fit, else Python integers (object dtype)."""
+    if (np.floor(values) == values).all() and (np.abs(values) < 2.0**63).all():
+        return values.astype(np.int64), 0
+    exact = [Fraction(v) for v in values.tolist()]
+    k = max(q.denominator for q in exact).bit_length() - 1
+    return np.array([int(q * 2**k) for q in exact], dtype=object), k
+
+
+def _identity_piece(poly: _Poly):
+    """Bernstein coefficients of the polynomial on the whole simplex, read
+    off the merged table, in the form _certify takes.
+
+    At vertices e_1, ..., e_m the coefficient of a monomial x^U is its
+    summed coefficient over its multinomial r!/prod(mult!), so with the
+    coefficients scaled to integers n / 2**k it is n * prod(mult!) over
+    r! * 2**k.  An absent monomial's coefficient is 0, and the vertex
+    coefficients are those of the diagonals <i, ..., i>.
+    """
+    monomials, summed = poly.merged
+    coef, k = _exact_integers(summed)
+    m, r = poly.m, poly.r
+    nums = coef * (math.factorial(r) // _multinomials(monomials))
+    diagonal = (monomials == monomials[0]).all(axis=0)
+    vertex_nums = np.zeros(m, dtype=object)
+    vertex_nums[monomials[0, diagonal]] = nums[diagonal]
+    if monomials.shape[1] < math.comb(m + r - 1, r):
+        nums = np.append(nums, 0)
+    return (nums, 1, vertex_nums, np.ones(m, dtype=np.int64),
+            [(i,) for i in range(m)], math.factorial(r) << k)
+
+
+def _chamber_piece(poly: _Poly):
+    """Bernstein coefficients of the polynomial on the twin chamber, in the
+    form _certify takes.
+
+    The chamber is the simplex of points whose coordinates do not increase
+    along each twin class.  Its vertices are the uniform points on each
+    class's first l members, l = 1..size; taken class by class, vertex p
+    has l_p = its member's rank + 1.  Scaled by l, a vertex is the 0/1
+    indicator w_p of that prefix, so with the coefficients scaled to
+    integers the symmetric coefficient array holds integers: entry
+    (i_1, ..., i_r) is r! times a monomial's coefficient over its number of
+    arrangements, n * prod(mult!).  Contracting every axis with the prefix
+    indicators, a cumulative sum within each class, gives T with
+    T[p_1, ..., p_r] = r! * 2**k * blossom(w_p1, ..., w_pr), an integer, and
+    the Bernstein coefficient at the vertex multiset p is
+    T[p] / (prod(l_p) * r! * 2**k).  Every |T[p] * l^r| is at most
+    r! * sum|n| * max(l)^r, which picks int64 or Python integers.
+    """
+    monomials, summed = poly.merged
+    coef, k = _exact_integers(summed)
+    m, r = poly.m, poly.r
+    order = np.array([i for members in poly.twins for i in members])
+    sizes = np.array([len(members) for members in poly.twins])
+    starts = np.repeat(np.cumsum(sizes) - sizes, sizes)  # first position of each class
+    bound = math.factorial(r) * sum(map(abs, coef.tolist())) * int(sizes.max()) ** r
+    dtype = np.int64 if bound < 2**63 else object
+    ells = (np.arange(m) - starts + 1).astype(dtype)
+    shape = (m,) * r
+    weights = np.zeros(m**r, dtype=dtype)
+    weights[np.ravel_multi_index(monomials, shape)] = (
+        coef * (math.factorial(r) // _multinomials(monomials)))
+    # Position p of the array stands for index order[p]: each cell reads the
+    # weight of its sorted tuple of indices.
+    cells = np.sort(order[np.indices(shape).reshape(r, -1)], axis=0)
+    T = weights[np.ravel_multi_index(cells, shape)].reshape(shape)
+    for _ in range(r):
+        total = np.concatenate([np.zeros_like(T[:1]), np.cumsum(T, axis=0)])
+        T = np.moveaxis(total[1:] - total[starts], 0, -1)
+    L = ells
+    for _ in range(r - 1):
+        L = np.multiply.outer(L, ells)
+    diagonal = (np.arange(m),) * r
+    vertices = [tuple(order[starts[p]:p + 1].tolist()) for p in range(m)]
+    return T, L, T[diagonal], L[diagonal], vertices, math.factorial(r) << k
+
+
+def _certify(nums, dens, vertex_nums, vertex_dens, vertices, scale):
+    """The certificate of a piece whose Bernstein coefficients are
+    nums / (dens * scale), vertex coefficients vertex_nums / (vertex_dens *
+    scale): (value, the vertices attaining it) when the largest vertex
+    coefficient is at least every coefficient, by exact integer
+    cross-multiplication, else None."""
+    values = [Fraction(int(n), int(d) * scale) for n, d in zip(vertex_nums, vertex_dens)]
+    top = max(values)
+    best = values.index(top)
+    if not (nums * vertex_dens[best] <= vertex_nums[best] * dens).all():
+        return None
+    return top, tuple(v for v, f in zip(vertices, values) if f == top)
 
 
 @lru_cache(maxsize=8192)
@@ -581,35 +691,37 @@ def _barycenter_starts(m: int, twins=()) -> np.ndarray:
     """Barycenters of index subsets, one per orbit of the twin-class
     permutations; these hit symmetric optima exactly.
 
-    The subsets are all nonempty subsets for m <= 10; beyond that,
-    singletons, pairs and the full barycenter (the exhaustive list would
-    grow exponentially).  Of these, only the subsets that take a prefix of
-    each twin class are kept, in the same order: exactly one per orbit, all
-    in the chamber where coordinates do not increase within a class.  The
-    polynomial is invariant under these permutations, so the other members
-    of an orbit would climb to the same value.  Indices missing from twins
-    are singleton classes.
+    The subsets are those that take a prefix of each twin class: exactly
+    one per orbit, all in the chamber where coordinates do not increase
+    within a class.  The polynomial is invariant under these permutations,
+    so the other members of an orbit would climb to the same value.  For
+    m <= 10 they are all such subsets; beyond that, those of size 1, 2 and m
+    (the exhaustive list would grow exponentially).  Rows are ordered by
+    size, then lexicographically by the sorted subset.  Indices missing from
+    twins are singleton classes.
     """
+    covered = {i for members in twins for i in members}
+    classes = [*twins, *((i,) for i in range(m) if i not in covered)]
+    sizes = np.array([len(members) for members in classes])
     if m <= 10:
-        subsets = itertools.chain.from_iterable(
-            itertools.combinations(range(m), size) for size in range(1, m + 1)
-        )
+        # Every choice of a prefix length per class, but the empty one.
+        counts = np.array(list(itertools.product(*(range(s + 1) for s in sizes))))[1:]
     else:
-        subsets = itertools.chain(
-            itertools.combinations(range(m), 1),
-            itertools.combinations(range(m), 2),
-            [tuple(range(m))],
-        )
-    rows = []
-    for sub in subsets:
-        x = np.zeros(m)
-        x[list(sub)] = 1.0 / len(sub)
-        rows.append(x)
-    X = np.array(rows)
-    prev = np.arange(m)  # the previous member of each index's class
-    for members in twins:
-        prev[list(members[1:])] = members[:-1]
-    return X[(X <= X[:, prev]).all(axis=1)]
+        unit = np.eye(len(classes), dtype=np.intp)
+        first, second = np.triu_indices(len(classes))
+        counts = np.vstack([unit, unit[first] + unit[second], sizes])
+        counts = counts[(counts <= sizes).all(axis=1)]
+    class_of = np.empty(m, dtype=np.intp)
+    rank = np.empty(m, dtype=np.intp)
+    for c, members in enumerate(classes):
+        class_of[list(members)] = c
+        rank[list(members)] = np.arange(len(members))
+    member = rank < counts[:, class_of]
+    size = counts.sum(axis=1)
+    # Among subsets of one size, the one holding the smallest index where
+    # two differ comes first.
+    order = np.lexsort(np.vstack([~member.T[::-1], size]))
+    return member[order] / size[order, None]
 
 
 def _random_starts(rng: np.random.Generator, m: int, count: int) -> np.ndarray:
@@ -622,11 +734,11 @@ def _random_starts(rng: np.random.Generator, m: int, count: int) -> np.ndarray:
 def _maximize_arrays(poly: _Poly, cfg: OptimizerConfig):
     """Multistart projected gradient ascent with Armijo backtracking.
 
-    All starts advance in lockstep (vectorized rows) until each has stopped
-    or some row attains poly.bound, a maximum.  Returns the winning
-    row: (x, value, kkt_residual, converged, starts_used).  Ties in value
-    within 1e-12 go to the smallest (kkt residual, point), the rule of the
-    finishing step.
+    All starts advance in lockstep (vectorized rows) until each has stopped.
+    When poly.certificate proves a start row a maximizer, no row advances.
+    Returns the winning row: (x, value, kkt_residual, converged,
+    starts_used).  Ties in value within 1e-12 go to the smallest (kkt
+    residual, point), the rule of the finishing step.
     """
     m = poly.m
     value_of = lambda X: _value_rows(poly, X)
@@ -637,16 +749,15 @@ def _maximize_arrays(poly: _Poly, cfg: OptimizerConfig):
     S = X.shape[0]
     F = value_of(X)
     t = np.ones(S)
-    alive = np.ones(S, dtype=bool)
     stalled = np.zeros(S, dtype=int)
     needs_finish = np.zeros(S, dtype=bool)
+    # A certified vertex is the uniform point on its members, entry for entry
+    # the barycenter row of that subset when it is a start.
+    vertices = poly.certificate[1] if poly.certificate else ()
+    proven = any((X == np.isin(np.arange(m), v) / len(v)).all(axis=1).any() for v in vertices)
+    alive = np.full(S, not proven)
 
-    for _ in range(cfg.max_iterations):
-        if F.max() >= poly.bound:
-            # A row attains an upper bound of the polynomial: it is a global
-            # maximizer, and no row can do better.
-            alive[:] = False
-            break
+    for _ in range(0 if proven else cfg.max_iterations):
         G = grad_of(X)
         mu = (X * G).sum(axis=1)
         kkt = _kkt_rows(X, G, mu)
@@ -713,7 +824,8 @@ def maximize(P: Pattern, cfg: OptimizerConfig | None = None) -> OptimizerReport:
     The report's value is the polynomial's float value at the reported
     point, so it is a lower bound on the Lagrangian of P only up to float
     rounding; converged means the KKT stationarity residual met the
-    acceptance threshold.
+    acceptance threshold.  A start row that the exact twin-chamber
+    certificate proves a maximizer ends the search before any ascent.
     """
     return _maximize_poly(_polynomial(P), cfg or OptimizerConfig())
 

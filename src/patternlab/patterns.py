@@ -411,9 +411,9 @@ def _is_integer(value) -> bool:
 
 def _read_document(doc, kind) -> tuple[list[str], np.ndarray, np.ndarray, np.ndarray]:
     """A raw document's header faults (an object with ``r``, the size field
-    of ``kind`` and an ``edges`` list); if there are none, the one Python pass
-    over its edges: the entries of those that are lists of integers as one
-    flat array, every edge's length (0 for the others) and which are such lists."""
+    of ``kind`` and an ``edges`` list); if there are none, the entries of the
+    edges that are lists of integers as one flat array, every edge's length
+    (0 for the others) and which are such lists."""
     size_key = kind._size_key
     if not isinstance(doc, dict):
         return [f"document must be an object, got {type(doc).__name__}"], None, None, None
@@ -428,8 +428,17 @@ def _read_document(doc, kind) -> tuple[list[str], np.ndarray, np.ndarray, np.nda
             diags.append(f"edges: must be a list, got {type(edges).__name__}")
     if diags:
         return diags, None, None, None
+    edges = doc["edges"]
+    # One check over the types of the edges and of the flattened values
+    # settles the usual case, where every edge is a list of integers; only a
+    # document with a type fault is read edge by edge to locate it.
+    if set(map(type, edges)) <= {list}:
+        flat = list(itertools.chain.from_iterable(edges))
+        if set(map(type, flat)) <= {int}:
+            lengths = np.fromiter(map(len, edges), dtype=np.intp, count=len(edges))
+            return diags, _integers(flat), lengths, np.ones(len(edges), dtype=bool)
     flat, lengths, typed = [], [], []
-    for e in doc["edges"]:
+    for e in edges:
         ok = isinstance(e, list) and all(map(_is_integer, e))
         typed.append(ok)
         lengths.append(len(e) if ok else 0)

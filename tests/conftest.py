@@ -3,6 +3,8 @@
 import itertools
 import math
 import warnings
+from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -132,6 +134,45 @@ def reference_twin_pairs(slots, coef, m):
         return {tuple(sorted(swap.get(v, v) for v in key)): c for key, c in table.items()}
 
     return {(i, j) for i, j in itertools.combinations(range(m), 2) if swapped(i, j) == table}
+
+
+def reference_barycenter_starts(m, twins=()):
+    """The enumerate-then-filter loop _barycenter_starts once ran, kept as the
+    oracle: the barycenter of every nonempty subset for m <= 10 (beyond
+    that, the singletons, the pairs and the full set), in size-then-
+    lexicographic order, keeping the subsets that take a prefix of each twin
+    class, where no coordinate exceeds that of its class predecessor."""
+    if m <= 10:
+        subsets = itertools.chain.from_iterable(
+            itertools.combinations(range(m), size) for size in range(1, m + 1))
+    else:
+        subsets = itertools.chain(itertools.combinations(range(m), 1),
+                                  itertools.combinations(range(m), 2), [tuple(range(m))])
+    rows = []
+    for sub in subsets:
+        x = np.zeros(m)
+        x[list(sub)] = 1.0 / len(sub)
+        rows.append(x)
+    X = np.array(rows)
+    prev = np.arange(m)  # the previous member of each index's class
+    for members in twins:
+        prev[list(members[1:])] = members[:-1]
+    return X[(X <= X[:, prev]).all(axis=1)]
+
+
+def reference_simplex_bound(poly):
+    """The ratio bound maximize once stopped at, kept as the oracle, in exact
+    arithmetic: the largest ratio of a merged monomial's summed coefficient
+    to its multinomial coefficient r!/prod(mult!), and 0.  The
+    multinomial-weighted monomials sum to 1 on the simplex, so the
+    polynomial is a convex combination of these ratios (0 for absent
+    monomials)."""
+    monomials, summed = poly.merged
+    r = monomials.shape[0]
+    ratios = [Fraction(c) / Fraction(math.factorial(r),
+                                     math.prod(math.factorial(k) for k in Counter(col).values()))
+              for c, col in zip(summed.tolist(), monomials.T.tolist())]
+    return max([Fraction(0), *ratios])
 
 
 def duplicate_index(P, k):

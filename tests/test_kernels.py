@@ -2,6 +2,8 @@
 rational evaluation and the identities every homogeneous polynomial obeys."""
 
 import itertools
+import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -10,11 +12,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import patternlab as pl
+from patternlab import lagrangian
 from patternlab.algebra import ReducedObjective, _reduced_polynomial, eval_phi
-from patternlab.lagrangian import (_finish_rows, _grad_rows, _hessian_rows,
-                                   _polynomial, _value_rows)
+from patternlab.lagrangian import (_chamber_piece, _finish_rows, _grad_rows, _hessian_rows,
+                                   _identity_piece, _Poly, _polynomial, _value_rows)
 
-from conftest import duplicate_index, integer_terms, reference_twin_pairs
+from conftest import (duplicate_index, integer_terms, reference_simplex_bound,
+                      reference_twin_pairs)
 
 
 @st.composite
@@ -88,24 +92,125 @@ def test_reduced_polynomial_matches_eval_phi(case, data):
     assert got == pytest.approx(eval_phi(ro, w), abs=1e-12)
 
 
+def _exact_poly_value(poly, x):
+    """The slot-table polynomial at a rational point, in exact arithmetic
+    with its float coefficients taken exactly."""
+    return sum((Fraction(c) * math.prod(x[i] for i in column)
+                for column, c in zip(poly.slots.T.tolist(), poly.coef.tolist())), Fraction(0))
+
+
+def _largest_coefficient(piece):
+    nums, dens, _, _, _, scale = piece
+    dens = np.broadcast_to(dens, np.shape(nums))
+    return max(Fraction(int(n), int(d) * scale) for n, d in zip(np.ravel(nums), np.ravel(dens)))
+
+
 @KERNEL_SETTINGS
 @given(pattern_and_point(), st.data())
-def test_simplex_upper_bound(case, data):
-    # Every pattern edge has ratio 1; a glued index's diagonal adds lambda2
-    # to its host diagonal coefficient, if any.
+def test_chamber_coefficients_bound_every_value(case, data):
+    # With a glue set this is map_f's reduced polynomial, whose float lambda2
+    # diagonals are scaled to integers by a power of two.
     P, x = case
-    glue = data.draw(st.sets(st.integers(1, P.m), min_size=1))
+    glue = data.draw(st.sets(st.integers(1, P.m)))
     lambda2 = float(data.draw(st.fractions(0, 1, max_denominator=50)))
-    ro = ReducedObjective(P, tuple(glue), lambda2)
-    poly = _reduced_polynomial(ro)
-    w = np.array([float(v) for v in x])
-    w /= w.sum()
-    assert _polynomial(P).bound == (1.0 if P.edges else 0.0)
-    diagonals = set(P.edges)
-    expected = max([_polynomial(P).bound] + [
-        lambda2 + (pl.Multiset([i] * P.r) in diagonals) for i in glue])
-    assert poly.bound == pytest.approx(expected, abs=1e-15)
-    assert _value_rows(poly, w[None, :])[0] <= poly.bound + 1e-12
+    poly = (_reduced_polynomial(ReducedObjective(P, tuple(glue), lambda2)) if glue
+            else _polynomial(P))
+    bound = reference_simplex_bound(poly)
+    assert _largest_coefficient(_identity_piece(poly)) == bound
+    largest = _largest_coefficient(_chamber_piece(poly))
+    assert largest <= bound
+    assert _exact_poly_value(poly, x) <= largest
+    if poly.certificate is not None:
+        assert poly.certificate[0] == largest
+
+
+@st.composite
+def symmetric_patterns(draw):
+    """Patterns invariant under every permutation of their m <= 6 indices:
+    all multisets of some chosen multiplicity profiles (partitions of r)."""
+    m = draw(st.integers(2, 6))
+    r = draw(st.sampled_from([2, 3, 4]))
+    universe = list(itertools.combinations_with_replacement(range(1, m + 1), r))
+    profile = lambda e: tuple(sorted(Counter(e).values()))
+    profiles = sorted({profile(e) for e in universe})
+    chosen = draw(st.sets(st.sampled_from(profiles), min_size=1))
+    return pl.Pattern(m, r, [e for e in universe if profile(e) in chosen])
+
+
+@settings(max_examples=100)
+@given(st.one_of(patterns(), symmetric_patterns()))
+def test_certified_value_is_the_maximum(P):
+    poly = _polynomial(P)
+    if P.m == 1 or poly.certificate is None:
+        return
+    value, vertices = poly.certificate
+    for members in vertices:
+        x = [Fraction(int(i in members), len(members)) for i in range(P.m)]
+        assert _exact_poly_value(poly, x) == value
+    for d in range(1, 7):
+        assert value >= pl.grid_oracle(P, d)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_Poly, "certificate", property(lambda poly: None))
+        searched = pl.maximize(P)
+    assert float(value) == pytest.approx(searched.value, abs=1e-12)
+    assert pl.maximize(P).value == pytest.approx(searched.value, abs=1e-12)
+
+
+DENSE_SHAPES = [(16, 3), (10, 4), (12, 3), (3, 3), (6, 3)]
+
+
+@pytest.mark.parametrize("m, r", DENSE_SHAPES)
+def test_complete_and_offdiagonal_patterns_certify_the_barycenter(m, r):
+    full = (tuple(range(m)),)
+    complete = Fraction(math.factorial(r) * math.comb(m, r), m**r)
+    assert _polynomial(pl.complete_pattern(m, r)).certificate == (complete, full)
+    offdiagonal = 1 - Fraction(1, m ** (r - 1))
+    assert _polynomial(pl.offdiagonal_pattern(m, r)).certificate == (offdiagonal, full)
+
+
+def test_past_the_chamber_cap_the_certificate_uses_the_whole_simplex(monkeypatch):
+    # K5^3 has no diagonal edge, so on the whole simplex its largest
+    # coefficient, 1, is at no vertex; on the chamber it is the barycenter's.
+    poly = _polynomial(pl.complete_pattern(5, 3))
+    fresh = lambda: _Poly(poly.slots.copy(), poly.coef.copy(), poly.m)
+    monkeypatch.setattr(lagrangian, "CHAMBER_CAP", 5**3)
+    assert fresh().certificate == (Fraction(12, 25), ((0, 1, 2, 3, 4),))
+    monkeypatch.setattr(lagrangian, "CHAMBER_CAP", 5**3 - 1)
+    assert fresh().certificate is None
+
+
+def test_a_blowup_of_k4_3_does_not_certify():
+    # Every chamber vertex lies inside one class, where the blowup has no
+    # edge, while the maximum 3/8 spreads over all twelve vertices.
+    G, _ = pl.blowup(pl.complete_pattern(4, 3), (3, 3, 3, 3))
+    poly = _polynomial(pl.pattern_of_hypergraph(G))
+    assert len(poly.twins) == 4
+    assert poly.certificate is None
+
+
+@KERNEL_SETTINGS
+@given(patterns(), st.lists(st.integers(0, 12), min_size=6, max_size=6).filter(any))
+def test_chamber_vertices_rebuild_every_sorted_point(P, k):
+    # Sorted to decrease within each twin class, a point x is the convex
+    # combination of the chamber vertices with weights
+    # mu = l * (x_l - x_(l+1)) along each class (x past the class is 0).
+    x = [Fraction(v, sum(k[:P.m]) or 1) for v in k[:P.m]]
+    if not any(x):
+        x[0] = Fraction(1)
+    poly = _polynomial(P)
+    for members in poly.twins:
+        for i, v in zip(members, sorted((x[i] for i in members), reverse=True)):
+            x[i] = v
+    vertices = _chamber_piece(poly)[4]
+    mu = []
+    for members in vertices:
+        cls = next(c for c in poly.twins if c[0] == members[0])
+        after = x[cls[len(members)]] if len(members) < len(cls) else 0
+        mu.append(len(members) * (x[members[-1]] - after))
+    assert all(w >= 0 for w in mu) and sum(mu) == 1
+    rebuilt = [sum(w * Fraction(int(i in members), len(members))
+                   for w, members in zip(mu, vertices)) for i in range(P.m)]
+    assert rebuilt == x
 
 
 @st.composite

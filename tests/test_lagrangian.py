@@ -15,8 +15,8 @@ from patternlab.cli import main as cli_main
 from patternlab.errors import CapExceeded
 from patternlab.lagrangian import eval_lagrange_unnormalized
 
-from conftest import (duplicate_index, integer_terms, random_simplex, reference_grid_chunks,
-                      slow_lagrange)
+from conftest import (duplicate_index, integer_terms, random_simplex,
+                      reference_barycenter_starts, reference_grid_chunks, slow_lagrange)
 
 
 # ---------------------------------------------------------------------------
@@ -254,6 +254,42 @@ def test_barycenter_starts_are_bounded_by_construction():
         np.testing.assert_allclose(X.sum(axis=1), 1.0, rtol=0, atol=1e-15)
 
 
+@settings(max_examples=200)
+@given(st.integers(1, 12).flatmap(
+    lambda m: st.lists(st.integers(0, m - 1), min_size=m, max_size=m)))
+def test_barycenter_starts_match_the_filtered_enumeration(labels):
+    # Any partition into classes, each listed by first member, members
+    # ascending, as _Poly.twins lists them.
+    groups = {}
+    for i, label in enumerate(labels):
+        groups.setdefault(label, []).append(i)
+    twins = tuple(tuple(members) for members in groups.values())
+    m = len(labels)
+    for classes in (twins, tuple(c for c in twins if len(c) > 1), ()):
+        np.testing.assert_array_equal(lagrangian._barycenter_starts(m, classes),
+                                      reference_barycenter_starts(m, classes))
+
+
+def test_certified_start_row_skips_the_ascent(monkeypatch):
+    # The full barycenter of K10^4 is certified, so no row advances: the two
+    # gradient passes describe the start rows and the winner, and the
+    # report still counts every start row.
+    calls = []
+    grad_rows = lagrangian._grad_rows
+
+    def counted(poly, X):
+        calls.append(X.shape[0])
+        return grad_rows(poly, X)
+
+    monkeypatch.setattr(lagrangian, "_grad_rows", counted)
+    rep = pl.maximize(pl.complete_pattern(10, 4))
+    assert len(calls) == 2
+    assert rep.value == pytest.approx(0.504, abs=1e-15)
+    assert rep.argmax.weights.tolist() == [0.1] * 10
+    assert rep.restarts_used == 10 + OptimizerConfig().restarts
+    assert rep.converged
+
+
 def test_value_ties_go_to_the_smallest_kkt_residual():
     # The barycenter start is the exact optimum of offdiagonal(3,3); a row
     # that ends within 1e-12 below it must not win on a smaller point.
@@ -265,9 +301,9 @@ def test_value_ties_go_to_the_smallest_kkt_residual():
 
 def test_lockstep_stops_at_the_simplex_upper_bound(monkeypatch):
     # A vertex start on a diagonal edge <i,i,i,i> has value 1.0, the upper
-    # bound of every pattern polynomial on the simplex.  Advancing the other
-    # 1000+ rows after iteration 0 cannot beat it; it took 250 gradient
-    # passes on this draw.
+    # bound of every pattern polynomial on the simplex, so the certificate
+    # holds there and no row advances.  Running all 1000+ rows took 250
+    # gradient passes on this draw.
     rng = np.random.default_rng(77)
     pl.random_pattern(rng, 10, 4)
     P = pl.random_pattern(rng, 10, 4)
