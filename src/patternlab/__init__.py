@@ -14,7 +14,6 @@ from .patterns import (
     Multiset,
     Pattern,
     complete_graph,
-    complete_hypergraph,
     complete_pattern,
     induced_subpattern,
     iter_multisets,
@@ -53,12 +52,10 @@ from .lagrangian import (
 )
 from .algebra import (
     CatalogEntry,
-    ReducedObjective,
     UnionLabeling,
     UnionLambdaCheck,
     decomposition_suite,
     eval_decomposition,
-    eval_phi,
     grosu_map,
     map_f,
     multiset_power_gap,

@@ -33,12 +33,10 @@ from .patterns import (Pattern, _runs, _substitute, iter_multisets, random_patte
 
 __all__ = [
     "UnionLabeling",
-    "ReducedObjective",
     "UnionLambdaCheck",
     "CatalogEntry",
     "union_on_set",
     "eval_decomposition",
-    "eval_phi",
     "map_f",
     "grosu_map",
     "verify_union_lambda",
@@ -208,49 +206,28 @@ def multiset_power_gap(y, s: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ReducedObjective:
-    """Host polynomial plus lambda2 * sum of r-th powers over the glue set.
-
-    Maximizing this over the host simplex gives the Lagrangian of the host
-    glued with any pattern whose Lagrangian is lambda2.
-    """
-
-    base: Pattern
-    glue: tuple[int, ...]
-    lambda2: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "glue", _check_glue(self.base.m, self.glue))
-        if not 0.0 <= self.lambda2 <= 1.0:
-            raise ValueError(f"lambda2 must lie in [0, 1], got {self.lambda2}")
-
-
-def _reduced_polynomial(ro: ReducedObjective) -> _Poly:
+def _reduced_polynomial(P1: Pattern, glue: tuple[int, ...], lambda2: float) -> _Poly:
     """The reduced objective as one slot-table polynomial: the host's edges
     plus a diagonal term <i, ..., i> of weight lambda2 per glued index i."""
-    return _polynomial(ro.base).plus_powers([i - 1 for i in ro.glue], ro.lambda2)
-
-
-def eval_phi(ro: ReducedObjective, x) -> float:
-    """Reduced objective value at a host-simplex point."""
-    w = _as_weights(ro.base.m, x)
-    powers = sum(float(w[i - 1]) ** ro.base.r for i in ro.glue)
-    return eval_lagrange(ro.base, w) + ro.lambda2 * powers
+    return _polynomial(P1).plus_powers([i - 1 for i in glue], lambda2)
 
 
 def map_f(P1: Pattern, glue, lambda2: float,
           cfg: OptimizerConfig | None = None) -> OptimizerReport:
-    """Maximize the reduced objective over the host simplex.
+    """Maximize the reduced objective, host polynomial plus lambda2 * sum of
+    r-th powers over the glue set, over the host simplex.
 
     The value is the Lagrangian of P1 glued (on the glue set) with any
-    pattern of Lagrangian lambda2; the inner pattern's structure is
-    irrelevant beyond that number.  As with eval_decomposition, the
-    identification with the glued Lagrangian assumes the host carries no
-    glued index's full diagonal multiset.
+    pattern of Lagrangian lambda2, which must lie in [0, 1]; the inner
+    pattern's structure is irrelevant beyond that number.  As with
+    eval_decomposition, the identification with the glued Lagrangian
+    assumes the host carries no glued index's full diagonal multiset.
     """
-    ro = ReducedObjective(P1, glue, float(lambda2))
-    return _maximize_poly(_reduced_polynomial(ro), cfg or OptimizerConfig())
+    lambda2 = float(lambda2)
+    glue = _check_glue(P1.m, glue)
+    if not 0.0 <= lambda2 <= 1.0:
+        raise ValueError(f"lambda2 must lie in [0, 1], got {lambda2}")
+    return _maximize_poly(_reduced_polynomial(P1, glue, lambda2), cfg or OptimizerConfig())
 
 
 def grosu_map(a, m: int, r: int) -> Fraction:

@@ -70,7 +70,7 @@ ARMIJO_INCREASE = 1e-2
 SUPPORT_THRESHOLD = 1e-7  # argmax coordinates above this form the reported support
 KKT_POLISH_STEPS = 25  # max Newton steps per support face in _kkt_polish_rows
 GRID_CAP = 1_000_000  # max C(d+m-1, m-1) grid points enumerated by grid_oracle
-CHAMBER_CAP = 2**18  # max m**r coefficients of the twin-chamber certificate
+CHAMBER_CAP = 2**18  # max m**r coefficients of the certificate; past it there is none
 MINIMALITY_MARGIN = 1e-9  # least value drop, per removed index, of a minimal pattern
 
 
@@ -220,19 +220,21 @@ class _Poly:
         return self._scatter
 
     @property
-    def merged(self) -> tuple[np.ndarray, np.ndarray]:
-        """(monomials, summed): the distinct sorted slot columns in
-        lexicographic order, and the summed coefficient of each.
+    def merged(self) -> tuple[np.ndarray, np.ndarray, int]:
+        """(monomials, summed, k): the distinct sorted slot columns in
+        lexicographic order, and the summed coefficient of each, exactly, as
+        integers over 2**k (see _exact_integers).
 
         A pattern's columns are already distinct, but plus_powers can add a
-        diagonal <i,...,i> that the table already holds.  Built on first use,
-        like scatter."""
+        diagonal <i,...,i> that the table already holds, and a float sum
+        would round its 1 + lambda2.  Built on first use, like scatter."""
         if self._merged is None:
             monomials, which = np.unique(np.sort(self.slots, axis=0), axis=1,
                                          return_inverse=True)
-            summed = np.bincount(which.reshape(-1), self.coef,
-                                 minlength=monomials.shape[1])
-            self._merged = (np.ascontiguousarray(monomials), summed)
+            coef, k = _exact_integers(self.coef)
+            summed = np.zeros(monomials.shape[1], dtype=coef.dtype)
+            np.add.at(summed, which.reshape(-1), coef)
+            self._merged = (np.ascontiguousarray(monomials), summed, k)
         return self._merged
 
     @property
@@ -246,7 +248,8 @@ class _Poly:
         under every permutation within classes.  Built on first use, like
         scatter."""
         if self._twins is None:
-            self._twins = _twin_classes(*self.merged, self.m)
+            monomials, summed, _ = self.merged
+            self._twins = _twin_classes(monomials, summed, self.m)
         return self._twins
 
     @property
@@ -257,18 +260,26 @@ class _Poly:
         each listed vertex of the piece, the uniform point on those 0-based
         indices.  None when the largest coefficient is at no vertex.
 
-        The piece is the twin chamber (see _chamber_piece); with only
-        singleton classes, or past CHAMBER_CAP, it is the whole simplex
-        (_identity_piece).  On a piece the polynomial is a convex combination
-        of its Bernstein coefficients, and the coefficient at a vertex is the
-        value there, so such a vertex is a proven maximizer and value is the
-        exact maximum of the polynomial with the float coefficients held
-        here.  Built on first use, like scatter."""
+        The piece is the twin chamber (see _chamber_piece), which is the
+        whole simplex when every class is a singleton.  On it the polynomial
+        is a convex combination of its Bernstein coefficients, and the
+        coefficient at a vertex is the value there, so such a vertex is a
+        proven maximizer and value is the exact maximum of the polynomial
+        with the float coefficients held here.  Past CHAMBER_CAP the
+        certificate is None.  Built on first use, like scatter."""
         if self._certificate is _UNBUILT:
-            singletons = all(len(members) == 1 for members in self.twins)
-            piece = (_identity_piece(self) if singletons or self.m**self.r > CHAMBER_CAP
-                     else _chamber_piece(self))
-            self._certificate = _certify(*piece)
+            self._certificate = None
+            if self.m**self.r <= CHAMBER_CAP:
+                T, L, vertices, scale = _chamber_piece(self)
+                diagonal = (np.arange(self.m),) * self.r
+                values = [Fraction(int(n), int(d) * scale)
+                          for n, d in zip(T[diagonal], L[diagonal])]
+                top = max(values)
+                best = (values.index(top),) * self.r
+                # Cross-multiplied, T / L <= T[best] / L[best] in integers.
+                if (T * L[best] <= T[best] * L).all():
+                    self._certificate = (top, tuple(v for v, f in zip(vertices, values)
+                                                    if f == top))
         return self._certificate
 
     def plus_powers(self, indices, weight: float) -> "_Poly":
@@ -350,57 +361,34 @@ def _swap_fixes(monomials: np.ndarray, coef_id: np.ndarray, i: int, j: int) -> b
 def _exact_integers(values: np.ndarray) -> tuple[np.ndarray, int]:
     """(n, k) with values == n / 2**k exactly and the least k >= 0: a float's
     denominator is a power of two.  n is int64 when the values are integers
-    that fit, else Python integers (object dtype)."""
-    if (np.floor(values) == values).all() and (np.abs(values) < 2.0**63).all():
+    whose every sum fits, else Python integers (object dtype)."""
+    if (np.floor(values) == values).all() and np.abs(values).sum() < 2.0**62:
         return values.astype(np.int64), 0
     exact = [Fraction(v) for v in values.tolist()]
     k = max(q.denominator for q in exact).bit_length() - 1
     return np.array([int(q * 2**k) for q in exact], dtype=object), k
 
 
-def _identity_piece(poly: _Poly):
-    """Bernstein coefficients of the polynomial on the whole simplex, read
-    off the merged table, in the form _certify takes.
-
-    At vertices e_1, ..., e_m the coefficient of a monomial x^U is its
-    summed coefficient over its multinomial r!/prod(mult!), so with the
-    coefficients scaled to integers n / 2**k it is n * prod(mult!) over
-    r! * 2**k.  An absent monomial's coefficient is 0, and the vertex
-    coefficients are those of the diagonals <i, ..., i>.
-    """
-    monomials, summed = poly.merged
-    coef, k = _exact_integers(summed)
-    m, r = poly.m, poly.r
-    nums = coef * (math.factorial(r) // _multinomials(monomials))
-    diagonal = (monomials == monomials[0]).all(axis=0)
-    vertex_nums = np.zeros(m, dtype=object)
-    vertex_nums[monomials[0, diagonal]] = nums[diagonal]
-    if monomials.shape[1] < math.comb(m + r - 1, r):
-        nums = np.append(nums, 0)
-    return (nums, 1, vertex_nums, np.ones(m, dtype=np.int64),
-            [(i,) for i in range(m)], math.factorial(r) << k)
-
-
 def _chamber_piece(poly: _Poly):
-    """Bernstein coefficients of the polynomial on the twin chamber, in the
-    form _certify takes.
+    """(T, L, vertices, scale): the Bernstein coefficients of the polynomial
+    on the twin chamber, the one at vertex multiset p being
+    T[p] / (L[p] * scale).
 
     The chamber is the simplex of points whose coordinates do not increase
-    along each twin class.  Its vertices are the uniform points on each
-    class's first l members, l = 1..size; taken class by class, vertex p
-    has l_p = its member's rank + 1.  Scaled by l, a vertex is the 0/1
-    indicator w_p of that prefix, so with the coefficients scaled to
-    integers the symmetric coefficient array holds integers: entry
-    (i_1, ..., i_r) is r! times a monomial's coefficient over its number of
-    arrangements, n * prod(mult!).  Contracting every axis with the prefix
-    indicators, a cumulative sum within each class, gives T with
-    T[p_1, ..., p_r] = r! * 2**k * blossom(w_p1, ..., w_pr), an integer, and
-    the Bernstein coefficient at the vertex multiset p is
-    T[p] / (prod(l_p) * r! * 2**k).  Every |T[p] * l^r| is at most
+    along each twin class; with only singleton classes it is the whole
+    simplex.  Its vertices are the uniform points on each class's first l
+    members, l = 1..size; taken class by class, vertex p has l_p = its
+    member's rank + 1.  Scaled by l, a vertex is the 0/1 indicator w_p of
+    that prefix, so with the coefficients scaled to integers n / 2**k the
+    symmetric coefficient array holds integers: entry (i_1, ..., i_r) is r!
+    times a monomial's coefficient over its number of arrangements,
+    n * prod(mult!).  Contracting every axis with the prefix indicators, a
+    cumulative sum within each class, gives T with
+    T[p_1, ..., p_r] = r! * 2**k * blossom(w_p1, ..., w_pr), an integer;
+    L[p] = prod(l_p) and scale = r! * 2**k.  Every |T[p] * l^r| is at most
     r! * sum|n| * max(l)^r, which picks int64 or Python integers.
     """
-    monomials, summed = poly.merged
-    coef, k = _exact_integers(summed)
+    monomials, coef, k = poly.merged
     m, r = poly.m, poly.r
     order = np.array([i for members in poly.twins for i in members])
     sizes = np.array([len(members) for members in poly.twins])
@@ -409,36 +397,27 @@ def _chamber_piece(poly: _Poly):
     dtype = np.int64 if bound < 2**63 else object
     ells = (np.arange(m) - starts + 1).astype(dtype)
     shape = (m,) * r
-    weights = np.zeros(m**r, dtype=dtype)
-    weights[np.ravel_multi_index(monomials, shape)] = (
-        coef * (math.factorial(r) // _multinomials(monomials)))
-    # Position p of the array stands for index order[p]: each cell reads the
-    # weight of its sorted tuple of indices.
-    cells = np.sort(order[np.indices(shape).reshape(r, -1)], axis=0)
-    T = weights[np.ravel_multi_index(cells, shape)].reshape(shape)
+    # Position p of the array stands for index order[p]: each merged
+    # monomial fills every arrangement of its positions with its weight.
+    position = np.empty(m, dtype=np.intp)
+    position[order] = np.arange(m)
+    cells = position[monomials]
+    weights = (coef * (math.factorial(r) // _multinomials(monomials))).astype(dtype)
+    T = np.zeros(m**r, dtype=dtype)
+    for arrangement in itertools.permutations(cells):
+        T[np.ravel_multi_index(arrangement, shape)] = weights
+    # Contract axis 0 of the m x m**(r-1) view and move it last by a
+    # transpose; after r rounds every axis is back in place.
+    T = T.reshape(m, -1)
     for _ in range(r):
-        total = np.concatenate([np.zeros_like(T[:1]), np.cumsum(T, axis=0)])
-        T = np.moveaxis(total[1:] - total[starts], 0, -1)
+        total = np.vstack([np.zeros_like(T[:1]), np.cumsum(T, axis=0)])
+        T = (total[1:] - total[starts]).T.reshape(m, -1)
+    T = T.reshape(shape)
     L = ells
     for _ in range(r - 1):
         L = np.multiply.outer(L, ells)
-    diagonal = (np.arange(m),) * r
     vertices = [tuple(order[starts[p]:p + 1].tolist()) for p in range(m)]
-    return T, L, T[diagonal], L[diagonal], vertices, math.factorial(r) << k
-
-
-def _certify(nums, dens, vertex_nums, vertex_dens, vertices, scale):
-    """The certificate of a piece whose Bernstein coefficients are
-    nums / (dens * scale), vertex coefficients vertex_nums / (vertex_dens *
-    scale): (value, the vertices attaining it) when the largest vertex
-    coefficient is at least every coefficient, by exact integer
-    cross-multiplication, else None."""
-    values = [Fraction(int(n), int(d) * scale) for n, d in zip(vertex_nums, vertex_dens)]
-    top = max(values)
-    best = values.index(top)
-    if not (nums * vertex_dens[best] <= vertex_nums[best] * dens).all():
-        return None
-    return top, tuple(v for v, f in zip(vertices, values) if f == top)
+    return T, L, vertices, math.factorial(r) << k
 
 
 @lru_cache(maxsize=8192)
@@ -705,7 +684,7 @@ def _barycenter_starts(m: int, twins=()) -> np.ndarray:
     sizes = np.array([len(members) for members in classes])
     if m <= 10:
         # Every choice of a prefix length per class, but the empty one.
-        counts = np.array(list(itertools.product(*(range(s + 1) for s in sizes))))[1:]
+        counts = np.indices(tuple(sizes + 1)).reshape(len(sizes), -1).T[1:]
     else:
         unit = np.eye(len(classes), dtype=np.intp)
         first, second = np.triu_indices(len(classes))

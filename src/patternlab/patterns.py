@@ -46,7 +46,6 @@ __all__ = [
     "save_hypergraph",
     "iter_multisets",
     "complete_graph",
-    "complete_hypergraph",
     "complete_pattern",
     "offdiagonal_pattern",
     "random_pattern",
@@ -195,8 +194,7 @@ class Hypergraph(_EdgeArray):
     """An r-uniform hypergraph on vertex set {1..n}; edges are r-sets.
 
     ``rows`` is in ``np.min_scalar_type(n)``, and a duplicate is dropped
-    silently.  ``edges``, the same edges as a tuple of sorted Python-int
-    tuples, is built on first access and kept.
+    silently.
     """
 
     __slots__ = ()
@@ -212,21 +210,11 @@ class Hypergraph(_EdgeArray):
             return f"edge {given} is not a set of {self.r} distinct vertices"
         return f"edge {edge} leaves the vertex range [1, {self.n}]"
 
-    @property
-    def edges(self) -> tuple[tuple[int, ...], ...]:
-        if self._edges is None:
-            rows = self.rows
-            self._edges = tuple(itertools.chain.from_iterable(
-                zip(*rows[i:i + _EDGE_CHUNK].T.tolist())
-                for i in range(0, len(rows), _EDGE_CHUNK)))
-        return self._edges
-
     def __repr__(self) -> str:
         return f"Hypergraph(n={self.n}, r={self.r}, edges={self.edge_count})"
 
 
 EDGE_PROBABILITY = 0.5  # random_pattern keeps each multiset with this probability
-_EDGE_CHUNK = 4096  # rows turned into tuples at a time, so no list of lists is held in full
 _INTP_MAX = np.iinfo(np.intp).max
 
 
@@ -590,15 +578,10 @@ def iter_multisets(indices: Sequence[int], size: int) -> Iterator[tuple[int, ...
 
 
 def complete_graph(m: int) -> Hypergraph:
-    """K_m: the complete 2-graph on m vertices."""
-    return complete_hypergraph(m, 2)
-
-
-def complete_hypergraph(n: int, r: int) -> Hypergraph:
-    """All r-subsets of {1..n}."""
-    if n < r:
-        raise ValueError(f"need n >= r, got n={n}, r={r}")
-    return Hypergraph(n, r, itertools.combinations(range(1, n + 1), r))
+    """K_m: the complete 2-graph on m vertices (m >= 2)."""
+    if m < 2:
+        raise ValueError(f"need m >= 2, got m={m}")
+    return Hypergraph(m, 2, itertools.combinations(range(1, m + 1), 2))
 
 
 def complete_pattern(m: int, r: int) -> Pattern:

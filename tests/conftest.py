@@ -162,16 +162,19 @@ def reference_barycenter_starts(m, twins=()):
 
 def reference_simplex_bound(poly):
     """The ratio bound maximize once stopped at, kept as the oracle, in exact
-    arithmetic: the largest ratio of a merged monomial's summed coefficient
-    to its multinomial coefficient r!/prod(mult!), and 0.  The
-    multinomial-weighted monomials sum to 1 on the simplex, so the
-    polynomial is a convex combination of these ratios (0 for absent
-    monomials)."""
-    monomials, summed = poly.merged
-    r = monomials.shape[0]
-    ratios = [Fraction(c) / Fraction(math.factorial(r),
-                                     math.prod(math.factorial(k) for k in Counter(col).values()))
-              for c, col in zip(summed.tolist(), monomials.T.tolist())]
+    arithmetic: the largest ratio of a monomial's coefficient, summed
+    exactly over its slot columns, to its multinomial coefficient
+    r!/prod(mult!), and 0.  The multinomial-weighted monomials sum to 1 on
+    the simplex, so the polynomial is a convex combination of these ratios
+    (0 for absent monomials)."""
+    summed = {}
+    for column, c in zip(poly.slots.T.tolist(), poly.coef.tolist()):
+        key = tuple(sorted(column))
+        summed[key] = summed.get(key, Fraction(0)) + Fraction(c)
+    r = poly.slots.shape[0]
+    ratios = [c / Fraction(math.factorial(r),
+                           math.prod(math.factorial(k) for k in Counter(key).values()))
+              for key, c in summed.items()]
     return max([Fraction(0), *ratios])
 
 

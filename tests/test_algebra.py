@@ -9,9 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import patternlab as pl
-from patternlab import Multiset, OptimizerConfig, Pattern, ReducedObjective, UnionLabeling, algebra
+from patternlab import Multiset, OptimizerConfig, Pattern, UnionLabeling, algebra
 from patternlab.errors import CapExceeded
-from patternlab.lagrangian import eval_lagrange_unnormalized
+from patternlab.algebra import _reduced_polynomial
+from patternlab.lagrangian import _value_rows, eval_lagrange_unnormalized
 
 from conftest import all_multisets, random_simplex
 
@@ -306,11 +307,15 @@ def test_multiset_power_collapse(rng):
 # ---------------------------------------------------------------------------
 
 
+def _phi(P, glue, lambda2, x):
+    """The reduced objective at a host-simplex point: map_f's polynomial."""
+    return _value_rows(_reduced_polynomial(P, glue, lambda2), np.asarray(x)[None, :])[0]
+
+
 def test_phi_zero_inner_reduces_to_host(rng, pb):
-    ro = ReducedObjective(pb, (2,), 0.0)
     for _ in range(10):
         x = random_simplex(rng, 2)
-        assert pl.eval_phi(ro, x) == pl.eval_lagrange(pb, x)
+        assert _phi(pb, (2,), 0.0, x) == pl.eval_lagrange(pb, x)
 
 
 def test_phi_offdiagonal_closed_form(rng):
@@ -318,26 +323,25 @@ def test_phi_offdiagonal_closed_form(rng):
     for m, r in ((2, 3), (3, 3), (3, 2)):
         P = pl.offdiagonal_pattern(m, r)
         lam = 0.37
-        ro = ReducedObjective(P, tuple(range(1, m + 1)), lam)
         for _ in range(10):
             x = random_simplex(rng, m)
             want = 1 - (1 - lam) * float((x**r).sum())
-            assert pl.eval_phi(ro, x) == pytest.approx(want, abs=1e-12)
+            assert _phi(P, tuple(range(1, m + 1)), lam, x) == pytest.approx(want, abs=1e-12)
 
 
 def test_phi_affine_in_lambda(pb, rng):
     x = random_simplex(rng, 2)
-    v0 = pl.eval_phi(ReducedObjective(pb, (2,), 0.0), x)
-    v1 = pl.eval_phi(ReducedObjective(pb, (2,), 1.0), x)
-    vh = pl.eval_phi(ReducedObjective(pb, (2,), 0.5), x)
+    v0 = _phi(pb, (2,), 0.0, x)
+    v1 = _phi(pb, (2,), 1.0, x)
+    vh = _phi(pb, (2,), 0.5, x)
     assert vh == pytest.approx((v0 + v1) / 2, abs=1e-14)
 
 
 def test_reduced_objective_validation(pb):
-    with pytest.raises(ValueError):
-        ReducedObjective(pb, (2,), 1.5)
-    with pytest.raises(ValueError):
-        ReducedObjective(pb, (3,), 0.5)
+    with pytest.raises(ValueError, match=r"lambda2 must lie in \[0, 1\], got 1.5"):
+        pl.map_f(pb, (2,), 1.5)
+    with pytest.raises(ValueError, match=r"glue set \[3\] is not a subset of \[1, 2\]"):
+        pl.map_f(pb, (3,), 0.5)
 
 
 def test_map_f_grosu_values():

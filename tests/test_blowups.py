@@ -89,7 +89,7 @@ def test_blowup_heavy_edge_two_two(p112):
     assert G.n == 4
     # C(2,2) * C(2,1) = 2 edges
     assert G.edge_count == 2
-    assert set(G.edges) == {(1, 2, 3), (1, 2, 4)}
+    assert set(map(tuple, G.rows.tolist())) == {(1, 2, 3), (1, 2, 4)}
 
 
 def test_blowup_edges_have_profiles_in_pattern(rng):
@@ -101,7 +101,7 @@ def test_blowup_edges_have_profiles_in_pattern(rng):
             sizes[0] = 3
         G, part = pl.blowup(P, sizes)
         allowed = set(P.edges)
-        for e in G.edges:
+        for e in G.rows.tolist():
             assert profile(e, part) in allowed
 
 
@@ -119,7 +119,7 @@ def test_blowup_complete_against_brute_force(rng):
         allowed = set(P.edges)
         brute = {S for S in itertools.combinations(range(1, n + 1), 3)
                  if profile(S, part) in allowed}
-        assert set(G.edges) == brute
+        assert set(map(tuple, G.rows.tolist())) == brute
 
 
 def test_blowup_single_part_diagonal_only():
@@ -171,7 +171,7 @@ def test_blowup_matches_product_reference(case):
     P, sizes = case
     G, part = pl.blowup(P, sizes)
     assert (G.n, G.r) == (sum(sizes), P.r)
-    assert G.edges == reference_blowup_edges(P, sizes)
+    assert tuple(map(tuple, G.rows.tolist())) == reference_blowup_edges(P, sizes)
     assert G.edge_count == pl.blowup_edge_count(P, sizes)
 
 
@@ -179,8 +179,8 @@ def test_blowup_past_uint8_vertices():
     P = Pattern(3, 2, [[1, 1], [1, 3], [2, 2], [2, 3]])
     sizes = (0, 140, 160)
     G, _ = pl.blowup(P, sizes)
-    assert G.n == 300 and G.edges[-1] == (140, 300)
-    assert G.edges == reference_blowup_edges(P, sizes)
+    assert G.n == 300 and G.rows[-1].tolist() == [140, 300]
+    assert tuple(map(tuple, G.rows.tolist())) == reference_blowup_edges(P, sizes)
 
 
 def test_blowup_cap(monkeypatch, p112):
@@ -223,8 +223,8 @@ def test_nested_blowup_is_subgraph(p112, rng):
     for part_idx, part in enumerate(ps.parts):
         for pos, v in enumerate(part):
             mapping[v] = offset_large[part_idx] + pos + 1
-    mapped = {tuple(sorted(mapping[v] for v in e)) for e in Gs.edges}
-    assert mapped <= set(Gl.edges)
+    mapped = {tuple(sorted(mapping[v] for v in e)) for e in Gs.rows.tolist()}
+    assert mapped <= set(map(tuple, Gl.rows.tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +233,7 @@ def test_nested_blowup_is_subgraph(p112, rng):
 
 
 def test_density_complete_3graph():
-    assert pl.density(pl.complete_hypergraph(4, 3)) == 1.0
+    assert pl.density(pl.Hypergraph(4, 3, itertools.combinations(range(1, 5), 3))) == 1.0
 
 
 def test_density_single_triple():

@@ -41,7 +41,6 @@ SIGNATURES = {
     "save_hypergraph": ("G", "path"),
     "iter_multisets": ("indices", "size"),
     "complete_graph": ("m",),
-    "complete_hypergraph": ("n", "r"),
     "complete_pattern": ("m", "r"),
     "offdiagonal_pattern": ("m", "r"),
     "random_pattern": ("rng", "m", "r", "allow_empty", "exclude"),
@@ -62,12 +61,10 @@ SIGNATURES = {
     "minimality_suite": ("cfg", "seed"),
     # algebra
     "UnionLabeling": ("m1", "m2", "glue", "origin"),
-    "ReducedObjective": ("base", "glue", "lambda2"),
     "UnionLambdaCheck": ("union_value", "reduced_value", "lambda2", "gap", "new_m", "converged"),
     "CatalogEntry": ("statement", "value", "status", "source", "note"),
     "union_on_set": ("P1", "P2", "glue"),
     "eval_decomposition": ("P1", "P2", "glue", "x"),
-    "eval_phi": ("ro", "x"),
     "map_f": ("P1", "glue", "lambda2", "cfg"),
     "grosu_map": ("a", "m", "r"),
     "verify_union_lambda": ("P1", "P2", "glue", "cfg"),

@@ -13,9 +13,9 @@ from hypothesis import strategies as st
 
 import patternlab as pl
 from patternlab import lagrangian
-from patternlab.algebra import ReducedObjective, _reduced_polynomial, eval_phi
+from patternlab.algebra import _reduced_polynomial
 from patternlab.lagrangian import (_chamber_piece, _finish_rows, _grad_rows, _hessian_rows,
-                                   _identity_piece, _Poly, _polynomial, _value_rows)
+                                   _maximize_poly, _Poly, _polynomial, _value_rows)
 
 from conftest import (duplicate_index, integer_terms, reference_simplex_bound,
                       reference_twin_pairs)
@@ -81,15 +81,15 @@ def test_euler_identities_and_symmetric_hessian(case):
 
 @KERNEL_SETTINGS
 @given(pattern_and_point(), st.data())
-def test_reduced_polynomial_matches_eval_phi(case, data):
+def test_reduced_polynomial_matches_host_plus_powers(case, data):
     P, x = case
     glue = data.draw(st.sets(st.integers(1, P.m), min_size=1))
-    lambda2 = data.draw(st.fractions(0, 1, max_denominator=50))
-    ro = ReducedObjective(P, tuple(glue), float(lambda2))
+    lambda2 = float(data.draw(st.fractions(0, 1, max_denominator=50)))
     w = np.array([float(v) for v in x])
     w /= w.sum()
-    got = _value_rows(_reduced_polynomial(ro), w[None, :])[0]
-    assert got == pytest.approx(eval_phi(ro, w), abs=1e-12)
+    got = _value_rows(_reduced_polynomial(P, tuple(glue), lambda2), w[None, :])[0]
+    want = pl.eval_lagrange(P, w) + lambda2 * sum(w[i - 1] ** P.r for i in glue)
+    assert got == pytest.approx(want, abs=1e-12)
 
 
 def _exact_poly_value(poly, x):
@@ -100,28 +100,45 @@ def _exact_poly_value(poly, x):
 
 
 def _largest_coefficient(piece):
-    nums, dens, _, _, _, scale = piece
-    dens = np.broadcast_to(dens, np.shape(nums))
-    return max(Fraction(int(n), int(d) * scale) for n, d in zip(np.ravel(nums), np.ravel(dens)))
+    T, L, _, scale = piece
+    return max(Fraction(int(n), int(d) * scale) for n, d in zip(T.ravel(), L.ravel()))
+
+
+def _drawn_polynomial(P, data):
+    """P's polynomial, or with a drawn glue set map_f's reduced polynomial,
+    whose float lambda2 diagonals are scaled to integers by a power of two."""
+    glue = data.draw(st.sets(st.integers(1, P.m)))
+    lambda2 = float(data.draw(st.fractions(0, 1, max_denominator=50)))
+    return _reduced_polynomial(P, tuple(glue), lambda2) if glue else _polynomial(P)
 
 
 @KERNEL_SETTINGS
 @given(pattern_and_point(), st.data())
 def test_chamber_coefficients_bound_every_value(case, data):
-    # With a glue set this is map_f's reduced polynomial, whose float lambda2
-    # diagonals are scaled to integers by a power of two.
     P, x = case
-    glue = data.draw(st.sets(st.integers(1, P.m)))
-    lambda2 = float(data.draw(st.fractions(0, 1, max_denominator=50)))
-    poly = (_reduced_polynomial(ReducedObjective(P, tuple(glue), lambda2)) if glue
-            else _polynomial(P))
+    poly = _drawn_polynomial(P, data)
     bound = reference_simplex_bound(poly)
-    assert _largest_coefficient(_identity_piece(poly)) == bound
     largest = _largest_coefficient(_chamber_piece(poly))
     assert largest <= bound
+    if all(len(members) == 1 for members in poly.twins):
+        # The chamber of singleton classes is the whole simplex.
+        assert largest == bound
     assert _exact_poly_value(poly, x) <= largest
     if poly.certificate is not None:
         assert poly.certificate[0] == largest
+
+
+@KERNEL_SETTINGS
+@given(patterns(), st.data())
+def test_singleton_classes_certify_the_diagonals_at_the_simplex_bound(P, data):
+    poly = _drawn_polynomial(P, data)
+    if any(len(members) > 1 for members in poly.twins):
+        return
+    bound = reference_simplex_bound(poly)
+    diagonals = [sum(Fraction(c) for column, c in zip(poly.slots.T.tolist(), poly.coef.tolist())
+                     if set(column) == {i}) for i in range(P.m)]
+    attaining = tuple((i,) for i, d in enumerate(diagonals) if d == bound)
+    assert poly.certificate == ((bound, attaining) if attaining else None)
 
 
 @st.composite
@@ -168,15 +185,25 @@ def test_complete_and_offdiagonal_patterns_certify_the_barycenter(m, r):
     assert _polynomial(pl.offdiagonal_pattern(m, r)).certificate == (offdiagonal, full)
 
 
-def test_past_the_chamber_cap_the_certificate_uses_the_whole_simplex(monkeypatch):
-    # K5^3 has no diagonal edge, so on the whole simplex its largest
-    # coefficient, 1, is at no vertex; on the chamber it is the barycenter's.
+def test_past_the_chamber_cap_there_is_no_certificate(monkeypatch):
+    # On the chamber K5^3's largest coefficient is the barycenter's.
     poly = _polynomial(pl.complete_pattern(5, 3))
     fresh = lambda: _Poly(poly.slots.copy(), poly.coef.copy(), poly.m)
     monkeypatch.setattr(lagrangian, "CHAMBER_CAP", 5**3)
     assert fresh().certificate == (Fraction(12, 25), ((0, 1, 2, 3, 4),))
     monkeypatch.setattr(lagrangian, "CHAMBER_CAP", 5**3 - 1)
     assert fresh().certificate is None
+
+
+def test_past_the_chamber_cap_the_ascent_finds_a_diagonal_edge(monkeypatch):
+    # The diagonal <1,1,1> puts the maximum 1 at the vertex e_1, which the
+    # certificate would prove; past the cap the ascent has to find it.
+    poly = _polynomial(pl.Pattern(3, 3, [[1, 1, 1], [1, 2, 3]]))
+    monkeypatch.setattr(lagrangian, "CHAMBER_CAP", 3**3 - 1)
+    fresh = _Poly(poly.slots.copy(), poly.coef.copy(), poly.m)
+    assert fresh.certificate is None
+    report = _maximize_poly(fresh, pl.OptimizerConfig())
+    assert report.value == 1.0 and report.converged
 
 
 def test_a_blowup_of_k4_3_does_not_certify():
@@ -201,7 +228,7 @@ def test_chamber_vertices_rebuild_every_sorted_point(P, k):
     for members in poly.twins:
         for i, v in zip(members, sorted((x[i] for i in members), reverse=True)):
             x[i] = v
-    vertices = _chamber_piece(poly)[4]
+    vertices = _chamber_piece(poly)[2]
     mu = []
     for members in vertices:
         cls = next(c for c in poly.twins if c[0] == members[0])
@@ -277,10 +304,7 @@ def _twin_pairs(classes):
 def test_twin_classes_match_the_swap_oracle(P, data):
     # With a glue set this is map_f's reduced polynomial: its diagonal terms
     # can repeat host edges, and at lambda2 = 0 they weigh 0.
-    glue = data.draw(st.sets(st.integers(1, P.m)))
-    lambda2 = float(data.draw(st.fractions(0, 1, max_denominator=50)))
-    poly = (_reduced_polynomial(ReducedObjective(P, tuple(glue), lambda2)) if glue
-            else _polynomial(P))
+    poly = _drawn_polynomial(P, data)
     classes = poly.twins
     assert sorted(i for members in classes for i in members) == list(range(P.m))
     assert all(list(members) == sorted(members) for members in classes)
@@ -323,6 +347,6 @@ def test_glued_and_unglued_indices_never_share_a_class(P, data):
     # so they differ for every lambda2 strictly between 0 and 1.
     glue = data.draw(st.sets(st.integers(1, P.m), min_size=1))
     lambda2 = data.draw(st.fractions(Fraction(1, 50), Fraction(49, 50), max_denominator=50))
-    poly = _reduced_polynomial(ReducedObjective(P, tuple(glue), float(lambda2)))
+    poly = _reduced_polynomial(P, tuple(glue), float(lambda2))
     for members in poly.twins:
         assert len({i + 1 in glue for i in members}) == 1

@@ -240,9 +240,6 @@ def test_hypergraph_edges_match_reference(case):
         assert G.rows.dtype == np.min_scalar_type(n)
         assert G.rows.tolist() == [list(e) for e in want]
         assert G == first and hash(G) == hash(first)
-        got = G.edges
-        assert got == want and G.edges is got
-        assert all(type(v) is int for e in got for v in e)
     doc = {"r": r, "n": n, "edges": [list(e) for e in want]}
     assert pl.hypergraph_to_json(first) == json.dumps(doc, separators=(",", ":"))
 
@@ -254,7 +251,7 @@ def test_hypergraph_rows_are_a_read_only_copy():
         assert G.rows.dtype == dtype and not G.rows.flags.writeable
         assert not np.shares_memory(G.rows, edges)
         edges[0, 0] = 2
-        assert G.edges == ((1, 2, 3), (1, 2, n))
+        assert G.rows.tolist() == [[1, 2, 3], [1, 2, n]]
         with pytest.raises(ValueError):
             G.rows[0, 0] = 2
     assert Hypergraph(3, 2, [[1, 2]]) != Hypergraph(4, 2, [[1, 2]])
@@ -264,7 +261,7 @@ def test_hypergraph_rows_are_a_read_only_copy():
 def test_pattern_rejects_unsigned_indices_past_intp():
     n = 2**63 + 5
     G = Hypergraph(n, 2, [[1, n]])
-    assert G.edges == ((1, n),) and G.rows.dtype == np.uint64
+    assert G.rows.tolist() == [[1, n]] and G.rows.dtype == np.uint64
     with pytest.raises(OverflowError):
         pl.pattern_of_hypergraph(G)
     with pytest.raises(OverflowError):
@@ -275,13 +272,13 @@ def test_hypergraph_does_not_mutate_input_array():
     edges = np.array([[3, 1, 2], [2, 3, 1], [4, 2, 1]], dtype=np.int32)
     before = edges.copy()
     G = Hypergraph(4, 3, edges)
-    assert G.edges == ((1, 2, 3), (1, 2, 4))
+    assert G.rows.tolist() == [[1, 2, 3], [1, 2, 4]]
     assert np.array_equal(edges, before) and edges.dtype == np.int32
 
 
 def test_hypergraph_accepts_no_edges():
     for form in ([], (), iter(()), np.empty((0, 3), dtype=np.int64)):
-        assert Hypergraph(4, 3, form).edges == ()
+        assert Hypergraph(4, 3, form).rows.shape == (0, 3)
 
 
 @pytest.mark.parametrize("n, r, edges", [
@@ -772,6 +769,13 @@ def test_complete_pattern_counts():
     assert pl.complete_pattern(3, 3).edge_count == 1
     with pytest.raises(ValueError):
         pl.complete_pattern(2, 3)
+
+
+def test_complete_graph_counts():
+    assert pl.complete_graph(2).rows.tolist() == [[1, 2]]
+    assert pl.complete_graph(5).edge_count == math.comb(5, 2)
+    with pytest.raises(ValueError, match="need m >= 2, got m=1"):
+        pl.complete_graph(1)
 
 
 def test_offdiagonal_pattern_counts():
