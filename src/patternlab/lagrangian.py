@@ -397,15 +397,22 @@ def _chamber_piece(poly: _Poly):
     dtype = np.int64 if bound < 2**63 else object
     ells = (np.arange(m) - starts + 1).astype(dtype)
     shape = (m,) * r
-    # Position p of the array stands for index order[p]: each merged
-    # monomial fills every arrangement of its positions with its weight.
-    position = np.empty(m, dtype=np.intp)
-    position[order] = np.arange(m)
-    cells = position[monomials]
     weights = (coef * (math.factorial(r) // _multinomials(monomials))).astype(dtype)
     T = np.zeros(m**r, dtype=dtype)
-    for arrangement in itertools.permutations(cells):
-        T[np.ravel_multi_index(arrangement, shape)] = weights
+    # Position p of the array stands for index order[p].  Either each merged
+    # monomial fills the r! arrangements of its positions with its weight,
+    # or each of the m**r cells reads the weight of its sorted tuple of
+    # indices, whichever touches fewer entries: r! alone is unbounded, m**r
+    # is at most CHAMBER_CAP.
+    if math.factorial(r) * monomials.shape[1] <= m**r:
+        position = np.empty(m, dtype=np.intp)
+        position[order] = np.arange(m)
+        arrangements = np.array(list(itertools.permutations(range(r)))).T
+        T[np.ravel_multi_index(tuple(position[monomials][arrangements]), shape)] = weights
+    else:
+        T[np.ravel_multi_index(monomials, shape)] = weights
+        cells = np.sort(order[np.indices(shape).reshape(r, -1)], axis=0)
+        T = T[np.ravel_multi_index(cells, shape)]
     # Contract axis 0 of the m x m**(r-1) view and move it last by a
     # transpose; after r rounds every axis is back in place.
     T = T.reshape(m, -1)

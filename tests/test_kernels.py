@@ -3,6 +3,7 @@ rational evaluation and the identities every homogeneous polynomial obeys."""
 
 import itertools
 import math
+import time
 from collections import Counter
 from fractions import Fraction
 
@@ -204,6 +205,36 @@ def test_past_the_chamber_cap_the_ascent_finds_a_diagonal_edge(monkeypatch):
     assert fresh.certificate is None
     report = _maximize_poly(fresh, pl.OptimizerConfig())
     assert report.value == 1.0 and report.converged
+
+
+def test_a_long_edge_certifies_without_a_pass_per_arrangement():
+    # x1^12 + 924 x1^6 x2^6 has Bernstein coefficients 1 at e_1 and at the
+    # middle, 0 elsewhere.  With 12! arrangements per monomial against 2^12
+    # cells, the symmetric array has to be filled cell by cell.
+    P = pl.Pattern(2, 12, [[1] * 12, [1] * 6 + [2] * 6])
+    start = time.perf_counter()
+    assert _polynomial(P).certificate == (Fraction(1), ((0,),))
+    report = pl.maximize(P)
+    assert time.perf_counter() - start < 1.0
+    assert report.value == 1.0 and report.converged
+
+
+@KERNEL_SETTINGS
+@given(patterns(), st.data())
+def test_chamber_coefficients_are_blossoms_of_the_prefix_indicators(P, data):
+    # T[p] / scale is the blossom (polar form) at the 0/1 indicators of the
+    # vertices' prefixes, the symmetrized product over the r! arrangements
+    # of each slot column; L[p] is the product of the prefix lengths.
+    poly = _drawn_polynomial(P, data)
+    T, L, vertices, scale = _chamber_piece(poly)
+    columns = list(zip(poly.slots.T.tolist(), map(Fraction, poly.coef.tolist())))
+    for _ in range(3):
+        p = data.draw(st.tuples(*[st.integers(0, P.m - 1)] * P.r))
+        blossom = sum(c * sum(math.prod(column[s] in vertices[q] for s, q in zip(arrangement, p))
+                              for arrangement in itertools.permutations(range(P.r)))
+                      for column, c in columns) / math.factorial(P.r)
+        assert Fraction(int(T[p]), scale) == blossom
+        assert L[p] == math.prod(len(vertices[q]) for q in p)
 
 
 def test_a_blowup_of_k4_3_does_not_certify():
