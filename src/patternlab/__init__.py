@@ -31,7 +31,6 @@ from .patterns import (
     remove_index,
     save_hypergraph,
     save_pattern,
-    validate,
     validate_hypergraph_document,
     validate_pattern_document,
 )

@@ -27,7 +27,7 @@ import numpy as np
 from .errors import CapExceeded
 from .lagrangian import (OptimizerConfig, OptimizerReport, _as_weights,
                          _maximize_poly, _multinomials, _Poly, _polynomial,
-                         eval_lagrange, eval_lagrange_unnormalized, maximize)
+                         _random_starts, eval_lagrange, eval_lagrange_unnormalized, maximize)
 from .patterns import (Pattern, _runs, _substitute, iter_multisets, random_pattern,
                        relabel_pattern)
 
@@ -382,11 +382,6 @@ def nonjump_catalog(r: int, *, frankl_rodl_l: Iterable[int] = ()) -> list[Catalo
 # ---------------------------------------------------------------------------
 
 
-def _random_simplex(rng: np.random.Generator, m: int) -> np.ndarray:
-    w = rng.standard_exponential(m)
-    return w / w.sum()
-
-
 def decomposition_suite(trials: int = 200, seed: int = 0) -> dict:
     """Random-instance check of the gluing decomposition identity.
 
@@ -405,7 +400,7 @@ def decomposition_suite(trials: int = 200, seed: int = 0) -> dict:
         # Sample within the identity's hypothesis: no glued-index diagonal.
         P1 = random_pattern(rng, m1, r, exclude=[[i] * r])
         P2 = random_pattern(rng, m2, r)
-        x = _random_simplex(rng, m1 + m2 - 1)  # the glued pattern's m
+        x = _random_starts(rng, m1 + m2 - 1, 1)[0]  # the glued pattern's m
         lhs, rhs = eval_decomposition(P1, P2, (i,), x)
         max_gap = max(max_gap, abs(lhs - rhs))
     power_gap = 0.0

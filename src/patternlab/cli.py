@@ -54,12 +54,14 @@ def _report_dict(rep) -> dict:
 
 
 def _optimizer_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--restarts", type=int, default=64,
+    default = OptimizerConfig()
+    parser.add_argument("--restarts", type=int, default=default.restarts,
                         help="random restarts on top of the barycenter starts")
-    parser.add_argument("--iters", type=int, default=5000, help="max ascent iterations")
-    parser.add_argument("--tol", type=float, default=1e-10, help="KKT stopping tolerance")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="RNG seed (PATTERNLAB_SEED env var overrides)")
+    parser.add_argument("--iters", type=int, default=default.max_iterations,
+                        help="max ascent iterations")
+    parser.add_argument("--tol", type=float, default=default.tolerance,
+                        help="KKT stopping tolerance")
+    parser.add_argument("--seed", type=int, default=default.seed, help="RNG seed")
 
 
 def _config_of(args: argparse.Namespace) -> OptimizerConfig:
@@ -325,14 +327,6 @@ def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     parser = _build_parser()
     args = parser.parse_args(argv)
-
-    env_seed = os.environ.get("PATTERNLAB_SEED")
-    if env_seed is not None and hasattr(args, "seed"):
-        try:
-            args.seed = int(env_seed)
-        except ValueError:
-            print(f"patternlab: PATTERNLAB_SEED={env_seed!r} is not an integer", file=sys.stderr)
-            return EXIT_INPUT
 
     started = time.perf_counter()
     try:

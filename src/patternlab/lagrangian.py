@@ -26,7 +26,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, wraps
+from functools import cached_property, lru_cache, wraps
 from typing import Iterator
 
 import numpy as np
@@ -151,11 +151,11 @@ class OptimizerReport:
     value is the polynomial's float value at argmax, so it is a lower bound
     on the true maximum only up to float rounding.  When the polynomial's
     exact Bernstein certificate holds at a start row, no row is advanced:
-    that row is a proven maximizer, and argmax is it or a start row whose
-    value ties it within 1e-12.  support lists the 1-based coordinates of
-    argmax above SUPPORT_THRESHOLD.  restarts_used counts the start rows
-    built: one subset barycenter per orbit of the twin-class permutations,
-    plus the random starts.
+    that row is a proven maximizer, and argmax is a certified start row.
+    support lists the 1-based coordinates of argmax above
+    SUPPORT_THRESHOLD.  restarts_used counts the start rows built: one
+    subset barycenter per orbit of the twin-class permutations, plus the
+    random starts.
     """
 
     value: float
@@ -171,9 +171,6 @@ class OptimizerReport:
 # ---------------------------------------------------------------------------
 
 
-_UNBUILT = object()  # a lazily built _Poly attribute that may itself be None
-
-
 class _Poly:
     """A homogeneous degree-r polynomial on m indices as a slot table.
 
@@ -186,11 +183,9 @@ class _Poly:
     scatter matrix held here, and the Hessians are S x m x m.
     The value, gradient and Hessian kernels take block rows at a time, so
     each S x E temporary stays cache-sized (256 KB) however many points are
-    passed; a single point is one block.
+    passed; a single point is one block.  The derived tables (scatter,
+    merged, twins, certificate) are built on first use and kept.
     """
-
-    __slots__ = ("slots", "coef", "m", "r", "block", "_scatter", "_merged", "_twins",
-                 "_certificate")
 
     def __init__(self, slots: np.ndarray, coef: np.ndarray, m: int):
         slots.setflags(write=False)
@@ -200,44 +195,36 @@ class _Poly:
         self.m = m
         self.r = slots.shape[0]
         self.block = max(16, 32768 // max(1, slots.shape[1]))
-        self._scatter = None
-        self._merged = None
-        self._twins = None
-        self._certificate = _UNBUILT
 
-    @property
+    @cached_property
     def scatter(self) -> np.ndarray:
         """(r*E) x m matrix sending row j*E + e (slot j of edge e) to column
         slots[j, e] with weight coef[e], so one matmul sums the slot
         derivatives.  Built on the first gradient, so callers that only
         evaluate (the exact suites) never hold it."""
-        if self._scatter is None:
-            r, E = self.slots.shape
-            W = np.zeros((r * E, self.m))
-            W[np.arange(r * E), self.slots.reshape(-1)] = np.tile(self.coef, r)
-            W.setflags(write=False)
-            self._scatter = W
-        return self._scatter
+        r, E = self.slots.shape
+        W = np.zeros((r * E, self.m))
+        W[np.arange(r * E), self.slots.reshape(-1)] = np.tile(self.coef, r)
+        W.setflags(write=False)
+        return W
 
-    @property
+    @cached_property
     def merged(self) -> tuple[np.ndarray, np.ndarray, int]:
-        """(monomials, summed, k): the distinct sorted slot columns in
-        lexicographic order, and the summed coefficient of each, exactly, as
-        integers over 2**k (see _exact_integers).
+        """(monomials, summed, k): the distinct slot columns, sorted within
+        each column already, in lexicographic order, and the summed
+        coefficient of each, exactly, as integers over 2**k (see
+        _exact_integers).
 
         A pattern's columns are already distinct, but plus_powers can add a
         diagonal <i,...,i> that the table already holds, and a float sum
-        would round its 1 + lambda2.  Built on first use, like scatter."""
-        if self._merged is None:
-            monomials, which = np.unique(np.sort(self.slots, axis=0), axis=1,
-                                         return_inverse=True)
-            coef, k = _exact_integers(self.coef)
-            summed = np.zeros(monomials.shape[1], dtype=coef.dtype)
-            np.add.at(summed, which.reshape(-1), coef)
-            self._merged = (np.ascontiguousarray(monomials), summed, k)
-        return self._merged
+        would round its 1 + lambda2."""
+        monomials, which = np.unique(self.slots, axis=1, return_inverse=True)
+        coef, k = _exact_integers(self.coef)
+        summed = np.zeros(monomials.shape[1], dtype=coef.dtype)
+        np.add.at(summed, which.reshape(-1), coef)
+        return np.ascontiguousarray(monomials), summed, k
 
-    @property
+    @cached_property
     def twins(self) -> tuple[tuple[int, ...], ...]:
         """The twin classes: the partition of the 0-based indices in which i
         and j share a class when swapping them maps every merged monomial,
@@ -245,14 +232,11 @@ class _Poly:
         coefficient.  Classes are ordered by first member, members ascending.
 
         Twinship is an equivalence relation, and the polynomial is invariant
-        under every permutation within classes.  Built on first use, like
-        scatter."""
-        if self._twins is None:
-            monomials, summed, _ = self.merged
-            self._twins = _twin_classes(monomials, summed, self.m)
-        return self._twins
+        under every permutation within classes."""
+        monomials, summed, _ = self.merged
+        return _twin_classes(monomials, summed, self.m)
 
-    @property
+    @cached_property
     def certificate(self) -> tuple[Fraction, tuple[tuple[int, ...], ...]] | None:
         """(value, vertices) when exact Bernstein coefficients prove the
         maximum: value is the largest coefficient on a piece that covers the
@@ -266,21 +250,18 @@ class _Poly:
         coefficient at a vertex is the value there, so such a vertex is a
         proven maximizer and value is the exact maximum of the polynomial
         with the float coefficients held here.  Past CHAMBER_CAP the
-        certificate is None.  Built on first use, like scatter."""
-        if self._certificate is _UNBUILT:
-            self._certificate = None
-            if self.m**self.r <= CHAMBER_CAP:
-                T, L, vertices, scale = _chamber_piece(self)
-                diagonal = (np.arange(self.m),) * self.r
-                values = [Fraction(int(n), int(d) * scale)
-                          for n, d in zip(T[diagonal], L[diagonal])]
-                top = max(values)
-                best = (values.index(top),) * self.r
-                # Cross-multiplied, T / L <= T[best] / L[best] in integers.
-                if (T * L[best] <= T[best] * L).all():
-                    self._certificate = (top, tuple(v for v, f in zip(vertices, values)
-                                                    if f == top))
-        return self._certificate
+        certificate is None."""
+        if self.m**self.r > CHAMBER_CAP:
+            return None
+        T, L, vertices, scale = _chamber_piece(self)
+        diagonal = (np.arange(self.m),) * self.r
+        values = [Fraction(int(n), int(d) * scale) for n, d in zip(T[diagonal], L[diagonal])]
+        top = max(values)
+        best = (values.index(top),) * self.r
+        # Cross-multiplied, T / L <= T[best] / L[best] in integers.
+        if not (T * L[best] <= T[best] * L).all():
+            return None
+        return top, tuple(v for v, f in zip(vertices, values) if f == top)
 
     def plus_powers(self, indices, weight: float) -> "_Poly":
         """This polynomial plus weight * sum of x_i^r over 0-based indices."""
@@ -290,19 +271,20 @@ class _Poly:
         return _Poly(slots, coef, self.m)
 
 
+def _run_lengths(columns: np.ndarray) -> np.ndarray:
+    """The length of the run of equal indices ending at each slot of an
+    r x E table of sorted columns.  A run's last slot holds its index's
+    multiplicity, and the product down a column is prod(mult!)."""
+    run = np.ones(columns.shape, dtype=np.int64)
+    for j in range(1, columns.shape[0]):
+        run[j] = np.where(columns[j] == columns[j - 1], run[j - 1] + 1, 1)
+    return run
+
+
 def _multinomials(columns: np.ndarray) -> np.ndarray:
     """r!/prod(mult!) of each sorted column of an r x E index table, as exact
-    Python integers (object dtype).
-
-    prod(mult!) of a sorted column is the product over its slots of the
-    length of the run of equal indices ending there.
-    """
-    run = np.ones(columns.shape[1], dtype=np.int64)
-    mult_fact = np.ones(columns.shape[1], dtype=object)
-    for j in range(1, columns.shape[0]):
-        run = np.where(columns[j] == columns[j - 1], run + 1, 1)
-        mult_fact *= run
-    return math.factorial(columns.shape[0]) // mult_fact
+    Python integers (object dtype)."""
+    return math.factorial(columns.shape[0]) // _run_lengths(columns).prod(axis=0, dtype=object)
 
 
 def _twin_classes(monomials: np.ndarray, summed: np.ndarray,
@@ -318,14 +300,11 @@ def _twin_classes(monomials: np.ndarray, summed: np.ndarray,
     r, U = monomials.shape
     coefs, coef_id = np.unique(summed, return_inverse=True)
     kinds = max(1, coefs.size)
-    # Multiplicity of an index in a sorted column: the length of its run,
-    # read at the run's last slot.
-    run = np.ones((r, U), dtype=np.intp)
-    for j in range(1, r):
-        run[j] = np.where(monomials[j] == monomials[j - 1], run[j - 1] + 1, 1)
+    # Multiplicity of an index in a sorted column: its run length, read at
+    # the run's last slot.
     ends = np.ones((r, U), dtype=bool)
     ends[:-1] = monomials[1:] != monomials[:-1]
-    cell = (monomials * r + run - 1) * kinds + coef_id
+    cell = (monomials * r + _run_lengths(monomials) - 1) * kinds + coef_id
     signature = np.bincount(cell[ends], minlength=m * r * kinds).reshape(m, r * kinds)
     group = np.unique(signature, axis=0, return_inverse=True)[1].reshape(-1)
 
@@ -397,22 +376,13 @@ def _chamber_piece(poly: _Poly):
     dtype = np.int64 if bound < 2**63 else object
     ells = (np.arange(m) - starts + 1).astype(dtype)
     shape = (m,) * r
-    weights = (coef * (math.factorial(r) // _multinomials(monomials))).astype(dtype)
+    weights = (coef * _run_lengths(monomials).prod(axis=0, dtype=object)).astype(dtype)
     T = np.zeros(m**r, dtype=dtype)
-    # Position p of the array stands for index order[p].  Either each merged
-    # monomial fills the r! arrangements of its positions with its weight,
-    # or each of the m**r cells reads the weight of its sorted tuple of
-    # indices, whichever touches fewer entries: r! alone is unbounded, m**r
-    # is at most CHAMBER_CAP.
-    if math.factorial(r) * monomials.shape[1] <= m**r:
-        position = np.empty(m, dtype=np.intp)
-        position[order] = np.arange(m)
-        arrangements = np.array(list(itertools.permutations(range(r)))).T
-        T[np.ravel_multi_index(tuple(position[monomials][arrangements]), shape)] = weights
-    else:
-        T[np.ravel_multi_index(monomials, shape)] = weights
-        cells = np.sort(order[np.indices(shape).reshape(r, -1)], axis=0)
-        T = T[np.ravel_multi_index(cells, shape)]
+    T[np.ravel_multi_index(monomials, shape)] = weights
+    # Position p of the array stands for index order[p]: each of the m**r
+    # cells, at most CHAMBER_CAP, reads the weight of its sorted index tuple.
+    cells = np.sort(order[np.indices(shape).reshape(r, -1)], axis=0)
+    T = T[np.ravel_multi_index(cells, shape)]
     # Contract axis 0 of the m x m**(r-1) view and move it last by a
     # transpose; after r rounds every axis is back in place.
     T = T.reshape(m, -1)
@@ -721,10 +691,11 @@ def _maximize_arrays(poly: _Poly, cfg: OptimizerConfig):
     """Multistart projected gradient ascent with Armijo backtracking.
 
     All starts advance in lockstep (vectorized rows) until each has stopped.
-    When poly.certificate proves a start row a maximizer, no row advances.
-    Returns the winning row: (x, value, kkt_residual, converged,
-    starts_used).  Ties in value within 1e-12 go to the smallest (kkt
-    residual, point), the rule of the finishing step.
+    When poly.certificate proves a start row a maximizer, no row advances
+    and the winner is a certified row.  Returns the winning row: (x, value,
+    kkt_residual, converged, starts_used).  Ties in value within 1e-12, or
+    among certified rows, go to the smallest (kkt residual, point), the rule
+    of the finishing step.
     """
     m = poly.m
     value_of = lambda X: _value_rows(poly, X)
@@ -739,8 +710,10 @@ def _maximize_arrays(poly: _Poly, cfg: OptimizerConfig):
     needs_finish = np.zeros(S, dtype=bool)
     # A certified vertex is the uniform point on its members, entry for entry
     # the barycenter row of that subset when it is a start.
-    vertices = poly.certificate[1] if poly.certificate else ()
-    proven = any((X == np.isin(np.arange(m), v) / len(v)).all(axis=1).any() for v in vertices)
+    certified = np.zeros(S, dtype=bool)
+    for v in poly.certificate[1] if poly.certificate else ():
+        certified |= (X == np.isin(np.arange(m), v) / len(v)).all(axis=1)
+    proven = certified.any()
     alive = np.full(S, not proven)
 
     for _ in range(0 if proven else cfg.max_iterations):
@@ -795,7 +768,9 @@ def _maximize_arrays(poly: _Poly, cfg: OptimizerConfig):
         f_done, _, x_done = _finish_rows(poly, X[rows[first]])
         F[rows], X[rows] = f_done[same], x_done[same]
 
-    top = np.nonzero(F >= F.max() - 1e-12)[0]
+    # A proven maximum is reported at a certified row: another row can tie
+    # it within 1e-12 and still round above it.
+    top = np.nonzero(certified if proven else F >= F.max() - 1e-12)[0]
     _, kkt_top, _ = _describe_rows(poly, X[top])
     x_best = X[top[np.lexsort((*X[top].T[::-1], kkt_top))[0]]].copy()
     # Described alone, so the value is eval_lagrange at the reported point.

@@ -32,7 +32,6 @@ __all__ = [
     "remove_index",
     "relabel_pattern",
     "pattern_of_hypergraph",
-    "validate",
     "validate_pattern_document",
     "validate_hypergraph_document",
     "pattern_to_json",
@@ -471,11 +470,6 @@ def validate_pattern_document(doc) -> list[str]:
     on load (deduplicated with a warning) but noted here.
     """
     return _check(doc, Pattern)
-
-
-def validate(P: Pattern) -> list[str]:
-    """Re-check a constructed pattern's invariants; empty report iff valid."""
-    return _check(_document(P), Pattern)
 
 
 def validate_hypergraph_document(doc) -> list[str]:

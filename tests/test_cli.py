@@ -396,16 +396,6 @@ def test_check_sequence_lambda0_must_be_finite(capsys, tmp_path, lambda0):
 # ---------------------------------------------------------------------------
 
 
-def test_env_seed_overrides_flag(capsys, monkeypatch):
-    monkeypatch.setenv("PATTERNLAB_SEED", "99")
-    code, doc = run_cli(capsys, "lambda", str(example_path("p_112.json")),
-                        "--seed", "3")
-    assert code == 0
-    assert doc["manifest"]["seed"] == 99
-    monkeypatch.setenv("PATTERNLAB_SEED", "nope")
-    assert main(["lambda", str(example_path("p_112.json"))]) == 2
-
-
 def test_same_invocation_is_byte_identical(capsys):
     argv = ["lambda", str(example_path("pb.json")), "--grid-denominator", "4"]
     main(argv)

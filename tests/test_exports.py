@@ -27,7 +27,6 @@ SIGNATURES = {
     "remove_index": ("P", "i"),
     "relabel_pattern": ("P", "permutation"),
     "pattern_of_hypergraph": ("G",),
-    "validate": ("P",),
     "validate_pattern_document": ("doc",),
     "validate_hypergraph_document": ("doc",),
     "pattern_to_json": ("P",),

@@ -171,7 +171,45 @@ def test_certified_value_is_the_maximum(P):
         patch.setattr(_Poly, "certificate", property(lambda poly: None))
         searched = pl.maximize(P)
     assert float(value) == pytest.approx(searched.value, abs=1e-12)
-    assert pl.maximize(P).value == pytest.approx(searched.value, abs=1e-12)
+    report = pl.maximize(P)
+    assert report.value == pytest.approx(searched.value, abs=1e-12)
+    # m <= 6, so every chamber vertex is a start row and the winner is one.
+    assert any(report.argmax == pl.SimplexPoint(np.isin(np.arange(P.m), v) / len(v))
+               for v in vertices)
+
+
+def test_a_flat_certified_polynomial_reports_a_certified_vertex():
+    # (x1 + x2)^3 is 1 on the whole simplex, certified at e_1 and at the
+    # barycenter.  Random start rows tie within 1e-12, and some round above
+    # 1; the report must not pick one of those.
+    P = pl.Pattern(2, 3, [[1, 1, 1], [1, 1, 2], [1, 2, 2], [2, 2, 2]])
+    value, vertices = _polynomial(P).certificate
+    assert value == 1 and vertices == ((0,), (0, 1))
+    report = pl.maximize(P)
+    assert report.value == 1.0 and report.kkt_residual == 0.0
+    assert report.argmax == pl.SimplexPoint([0.5, 0.5])
+
+
+@pytest.mark.parametrize("P", [pl.complete_pattern(5, 3),
+                               pl.pattern_of_hypergraph(
+                                   pl.blowup(pl.complete_pattern(4, 3), (2, 2, 2, 2))[0])],
+                         ids=["certified", "uncertified"])
+def test_each_derived_table_is_built_once(P, monkeypatch):
+    # A certificate of None is kept as well, so the uncertified blowup does
+    # not rebuild its chamber on the second call.
+    calls = Counter()
+    for name in ("_exact_integers", "_twin_classes", "_chamber_piece"):
+        def spy(*args, name=name, real=getattr(lagrangian, name)):
+            calls[name] += 1
+            return real(*args)
+        monkeypatch.setattr(lagrangian, name, spy)
+    lagrangian._polynomial.cache_clear()
+    first = pl.maximize(P)
+    scatter = _polynomial(P).scatter
+    second = pl.maximize(P, pl.OptimizerConfig(seed=1))
+    assert calls == {"_exact_integers": 1, "_twin_classes": 1, "_chamber_piece": 1}
+    assert _polynomial(P).scatter is scatter
+    assert first.value == pytest.approx(second.value, abs=1e-12)
 
 
 DENSE_SHAPES = [(16, 3), (10, 4), (12, 3), (3, 3), (6, 3)]
@@ -209,8 +247,8 @@ def test_past_the_chamber_cap_the_ascent_finds_a_diagonal_edge(monkeypatch):
 
 def test_a_long_edge_certifies_without_a_pass_per_arrangement():
     # x1^12 + 924 x1^6 x2^6 has Bernstein coefficients 1 at e_1 and at the
-    # middle, 0 elsewhere.  With 12! arrangements per monomial against 2^12
-    # cells, the symmetric array has to be filled cell by cell.
+    # middle, 0 elsewhere.  The symmetric array is filled cell by cell, 2^12
+    # cells, never by the 12! arrangements of a monomial.
     P = pl.Pattern(2, 12, [[1] * 12, [1] * 6 + [2] * 6])
     start = time.perf_counter()
     assert _polynomial(P).certificate == (Fraction(1), ((0,),))

@@ -456,7 +456,7 @@ def test_pattern_edges_are_built_once(pb):
 
 
 def test_validate_clean_pattern(p112):
-    assert pl.validate(p112) == []
+    assert pl.validate_pattern_document(json.loads(pl.pattern_to_json(p112))) == []
 
 
 def test_validate_document_multiplicity_sum():
@@ -588,7 +588,8 @@ def test_document_check_matches_reference(case):
         built = ((FormatError, f"invalid {kind.__name__.lower()} document: {built[0][1]}"), [])
     assert loaded == built
     if isinstance(loaded[0], Pattern):
-        assert pl.validate(loaded[0]) == reference(json.loads(pl.pattern_to_json(loaded[0]))) == []
+        written = json.loads(pl.pattern_to_json(loaded[0]))
+        assert pl.validate_pattern_document(written) == reference(written) == []
 
 
 def test_each_valid_load_checks_the_edges_once(tmp_path, monkeypatch):
