@@ -74,17 +74,25 @@ CHAMBER_CAP = 2**18  # max m**r coefficients of the certificate; past it there i
 MINIMALITY_MARGIN = 1e-9  # least value drop, per removed index, of a minimal pattern
 
 
+def _finite(w: np.ndarray) -> np.ndarray:
+    """w, checked finite: NaN fails every comparison, so the sign and sum
+    tests of a point let it through."""
+    if not np.isfinite(w).all():
+        raise ValueError(f"non-finite weight in {w.tolist()}")
+    return w
+
+
 class SimplexPoint:
     """A point of the standard simplex: nonnegative weights summing to 1.
 
-    The weight vector is validated on construction (sum within 1e-12) and
-    exposed as a read-only numpy array.
+    The weight vector is validated on construction (finite, sum within
+    1e-12) and exposed as a read-only numpy array.
     """
 
     __slots__ = ("_w",)
 
     def __init__(self, weights):
-        w = np.array(weights, dtype=float)
+        w = _finite(np.array(weights, dtype=float))
         if w.ndim != 1 or w.size == 0:
             raise ValueError("weights must be a nonempty 1-D sequence")
         if (w < 0).any():
@@ -175,8 +183,8 @@ class _Poly:
     """A homogeneous degree-r polynomial on m indices as a slot table.
 
     Column e of the r x E slot table is edge e's sorted multiset expansion
-    with 0-based indices, so the edge <1,1,2> owns slots (0, 0, 1); coef[e]
-    is its coefficient, r!/prod(mult!) for a pattern edge.  Each term is the
+    with 0-based indices, so the edge <1,1,2> owns slots (0, 0, 1); its
+    coefficient is num[e] / den, exactly.  Each term is the
     product of the weights in its r slots, so every kernel gathers r columns
     of the point matrix.  For S points the value costs O(S*E*r), whatever m
     is; the gradient adds an (S x r*E) by (r*E x m) matmul against the
@@ -185,12 +193,20 @@ class _Poly:
     each S x E temporary stays cache-sized (256 KB) however many points are
     passed; a single point is one block.  The derived tables (scatter,
     merged, twins, certificate) are built on first use and kept.
+
+    num holds Python integers (object dtype) over one positive int den; a
+    pattern has den = 1 and num[e] = r!/prod(mult!).  The float kernels read
+    coef, num / den correctly rounded by Python's int division, which a
+    float copy of num could not give once den passes the float range.
     """
 
-    def __init__(self, slots: np.ndarray, coef: np.ndarray, m: int):
-        slots.setflags(write=False)
-        coef.setflags(write=False)
+    def __init__(self, slots: np.ndarray, num: np.ndarray, den: int, m: int):
+        coef = (num / den).astype(float)
+        for table in (slots, num, coef):
+            table.setflags(write=False)
         self.slots = slots
+        self.num = num
+        self.den = den
         self.coef = coef
         self.m = m
         self.r = slots.shape[0]
@@ -209,20 +225,18 @@ class _Poly:
         return W
 
     @cached_property
-    def merged(self) -> tuple[np.ndarray, np.ndarray, int]:
-        """(monomials, summed, k): the distinct slot columns, sorted within
+    def merged(self) -> tuple[np.ndarray, np.ndarray]:
+        """(monomials, summed): the distinct slot columns, sorted within
         each column already, in lexicographic order, and the summed
-        coefficient of each, exactly, as integers over 2**k (see
-        _exact_integers).
+        numerator of each, a Python integer over den.
 
         A pattern's columns are already distinct, but plus_powers can add a
         diagonal <i,...,i> that the table already holds, and a float sum
         would round its 1 + lambda2."""
         monomials, which = np.unique(self.slots, axis=1, return_inverse=True)
-        coef, k = _exact_integers(self.coef)
-        summed = np.zeros(monomials.shape[1], dtype=coef.dtype)
-        np.add.at(summed, which.reshape(-1), coef)
-        return np.ascontiguousarray(monomials), summed, k
+        summed = np.zeros(monomials.shape[1], dtype=object)
+        np.add.at(summed, which.reshape(-1), self.num)
+        return np.ascontiguousarray(monomials), summed
 
     @cached_property
     def twins(self) -> tuple[tuple[int, ...], ...]:
@@ -233,7 +247,7 @@ class _Poly:
 
         Twinship is an equivalence relation, and the polynomial is invariant
         under every permutation within classes."""
-        monomials, summed, _ = self.merged
+        monomials, summed = self.merged
         return _twin_classes(monomials, summed, self.m)
 
     @cached_property
@@ -249,8 +263,8 @@ class _Poly:
         is a convex combination of its Bernstein coefficients, and the
         coefficient at a vertex is the value there, so such a vertex is a
         proven maximizer and value is the exact maximum of the polynomial
-        with the float coefficients held here.  Past CHAMBER_CAP the
-        certificate is None."""
+        with the coefficients num / den.  Past CHAMBER_CAP the certificate
+        is None."""
         if self.m**self.r > CHAMBER_CAP:
             return None
         T, L, vertices, scale = _chamber_piece(self)
@@ -263,12 +277,16 @@ class _Poly:
             return None
         return top, tuple(v for v, f in zip(vertices, values) if f == top)
 
-    def plus_powers(self, indices, weight: float) -> "_Poly":
-        """This polynomial plus weight * sum of x_i^r over 0-based indices."""
+    def plus_powers(self, indices, weight) -> "_Poly":
+        """This polynomial plus weight * sum of x_i^r over 0-based indices,
+        the weight taken exactly over the denominator lcm(den, its own)."""
         idx = np.asarray(indices, dtype=np.intp)
+        w = Fraction(weight)
+        den = math.lcm(self.den, w.denominator)
         slots = np.hstack([self.slots, np.tile(idx, (self.r, 1))])
-        coef = np.concatenate([self.coef, np.full(idx.size, float(weight))])
-        return _Poly(slots, coef, self.m)
+        added = np.full(idx.size, w.numerator * (den // w.denominator), dtype=object)
+        num = np.concatenate([self.num * (den // self.den), added])
+        return _Poly(slots, num, den, self.m)
 
 
 def _run_lengths(columns: np.ndarray) -> np.ndarray:
@@ -337,17 +355,6 @@ def _swap_fixes(monomials: np.ndarray, coef_id: np.ndarray, i: int, j: int) -> b
             and np.array_equal(coef_id[held[order]], coef_id[held]))
 
 
-def _exact_integers(values: np.ndarray) -> tuple[np.ndarray, int]:
-    """(n, k) with values == n / 2**k exactly and the least k >= 0: a float's
-    denominator is a power of two.  n is int64 when the values are integers
-    whose every sum fits, else Python integers (object dtype)."""
-    if (np.floor(values) == values).all() and np.abs(values).sum() < 2.0**62:
-        return values.astype(np.int64), 0
-    exact = [Fraction(v) for v in values.tolist()]
-    k = max(q.denominator for q in exact).bit_length() - 1
-    return np.array([int(q * 2**k) for q in exact], dtype=object), k
-
-
 def _chamber_piece(poly: _Poly):
     """(T, L, vertices, scale): the Bernstein coefficients of the polynomial
     on the twin chamber, the one at vertex multiset p being
@@ -358,16 +365,16 @@ def _chamber_piece(poly: _Poly):
     simplex.  Its vertices are the uniform points on each class's first l
     members, l = 1..size; taken class by class, vertex p has l_p = its
     member's rank + 1.  Scaled by l, a vertex is the 0/1 indicator w_p of
-    that prefix, so with the coefficients scaled to integers n / 2**k the
-    symmetric coefficient array holds integers: entry (i_1, ..., i_r) is r!
+    that prefix, so with merged's coefficients n / den the symmetric
+    coefficient array times den holds integers: entry (i_1, ..., i_r) is r!
     times a monomial's coefficient over its number of arrangements,
     n * prod(mult!).  Contracting every axis with the prefix indicators, a
     cumulative sum within each class, gives T with
-    T[p_1, ..., p_r] = r! * 2**k * blossom(w_p1, ..., w_pr), an integer;
-    L[p] = prod(l_p) and scale = r! * 2**k.  Every |T[p] * l^r| is at most
+    T[p_1, ..., p_r] = r! * den * blossom(w_p1, ..., w_pr), an integer;
+    L[p] = prod(l_p) and scale = r! * den.  Every |T[p] * l^r| is at most
     r! * sum|n| * max(l)^r, which picks int64 or Python integers.
     """
-    monomials, coef, k = poly.merged
+    monomials, coef = poly.merged
     m, r = poly.m, poly.r
     order = np.array([i for members in poly.twins for i in members])
     sizes = np.array([len(members) for members in poly.twins])
@@ -394,15 +401,15 @@ def _chamber_piece(poly: _Poly):
     for _ in range(r - 1):
         L = np.multiply.outer(L, ells)
     vertices = [tuple(order[starts[p]:p + 1].tolist()) for p in range(m)]
-    return T, L, vertices, math.factorial(r) << k
+    return T, L, vertices, math.factorial(r) * poly.den
 
 
 @lru_cache(maxsize=8192)
 def _polynomial(P: Pattern) -> _Poly:
-    """Slot table and float coefficients r!/prod(mult!) of P's density
-    polynomial."""
+    """Slot table and integer coefficients r!/prod(mult!), over den = 1, of
+    P's density polynomial."""
     slots = np.ascontiguousarray(P.rows.T - 1)
-    return _Poly(slots, _multinomials(slots).astype(float), P.m)
+    return _Poly(slots, _multinomials(slots), 1, P.m)
 
 
 def _as_weights(m: int, x) -> np.ndarray:
@@ -433,7 +440,8 @@ def _value_rows(poly: _Poly, X: np.ndarray) -> np.ndarray:
     terms = X[:, slots[0]]
     for idx in slots[1:]:
         terms *= X[:, idx]
-    return terms @ poly.coef
+    # Integer rows are the grid oracle's, on a pattern polynomial (den 1).
+    return terms @ (poly.coef if X.dtype.kind == "f" else poly.num.astype(X.dtype))
 
 
 @_row_blocks
@@ -477,7 +485,7 @@ def eval_lagrange_unnormalized(P: Pattern, y) -> float:
     Plumbing for homogeneity checks and for evaluating block slices of a
     glued point, which sum to less than 1.
     """
-    w = np.asarray(y, dtype=float)
+    w = _finite(np.asarray(y, dtype=float))
     if w.ndim != 1 or w.size != P.m:
         raise ValueError(f"point has dimension {w.size}, pattern has m={P.m}")
     if (w < 0).any():
@@ -510,7 +518,7 @@ def _project_rows(Y: np.ndarray) -> np.ndarray:
 
 def project_to_simplex(y) -> np.ndarray:
     """Euclidean projection of a vector onto the standard simplex."""
-    w = np.asarray(y, dtype=float)
+    w = _finite(np.asarray(y, dtype=float))
     if w.ndim != 1 or w.size == 0:
         raise ValueError("expected a nonempty 1-D vector")
     return _project_rows(w[None, :])[0]
@@ -890,11 +898,11 @@ def grid_oracle(P: Pattern, d: int) -> Fraction:
     At k the scaled value d^r * lam(k/d) is sum_e mc_e * prod_i k_i^mult_i,
     whose terms are distinct terms of the multinomial expansion of
     (k_1 + ... + k_m)^r = d^r.  Each chunk goes through the value kernel on
-    the slot table with integer coefficients; its slot products form each
-    monomial before the coefficient is applied, which keeps every
-    intermediate at most d^r, so int64 is exact when d^r and every
-    coefficient are below 2^63; beyond that the same pass runs on Python
-    integers (object dtype).
+    P's cached polynomial, whose numerators are the integers mc_e (den is
+    1); its slot products form each monomial before the coefficient is
+    applied, which keeps every intermediate at most d^r, so int64 is exact
+    when d^r and every coefficient are below 2^63; beyond that the same pass
+    runs on Python integers (object dtype).
     """
     d = int(d)
     if d < 1:
@@ -903,15 +911,13 @@ def grid_oracle(P: Pattern, d: int) -> Fraction:
     if points > GRID_CAP:
         raise CapExceeded(f"grid has {points} points, cap is {GRID_CAP}")
     scale = d**P.r
-    slots = _polynomial(P).slots
-    coef = _multinomials(slots)
+    poly = _polynomial(P)
     # A coefficient can pass 2^63 when d^r does not (d = 1 and an edge of 21
     # distinct indices), though its products are then all 0.
-    dtype = np.int64 if max([scale, *coef]) < 2**63 else object
-    exact = _Poly(slots, coef.astype(dtype), P.m)
+    dtype = np.int64 if max([scale, *poly.num]) < 2**63 else object
     best = 0
     for K in _grid_chunks(d, P.m):
-        best = max(best, int(_value_rows(exact, K.astype(dtype, copy=False)).max()))
+        best = max(best, int(_value_rows(poly, K.astype(dtype, copy=False)).max()))
     return Fraction(best, scale)
 
 

@@ -107,10 +107,55 @@ def _largest_coefficient(piece):
 
 def _drawn_polynomial(P, data):
     """P's polynomial, or with a drawn glue set map_f's reduced polynomial,
-    whose float lambda2 diagonals are scaled to integers by a power of two."""
+    whose float lambda2 sets the common denominator (a power of two)."""
     glue = data.draw(st.sets(st.integers(1, P.m)))
     lambda2 = float(data.draw(st.fractions(0, 1, max_denominator=50)))
     return _reduced_polynomial(P, tuple(glue), lambda2) if glue else _polynomial(P)
+
+
+def _assert_one_exact_table(poly):
+    """coef is num / den correctly rounded, and merged sums each monomial's
+    slot columns exactly."""
+    assert poly.num.dtype == object and poly.den >= 1
+    for c, n in zip(poly.coef.tolist(), poly.num.tolist()):
+        assert Fraction(c) == Fraction(n, poly.den)
+    sums = Counter()
+    for column, n in zip(poly.slots.T.tolist(), poly.num.tolist()):
+        sums[tuple(column)] += Fraction(n, poly.den)
+    monomials, summed = poly.merged
+    assert {tuple(column): Fraction(s, poly.den)
+            for column, s in zip(monomials.T.tolist(), summed.tolist())} == sums
+
+
+@KERNEL_SETTINGS
+@given(patterns(), st.data())
+def test_coefficients_are_numerators_over_one_denominator(P, data):
+    _assert_one_exact_table(_drawn_polynomial(P, data))
+
+
+@pytest.mark.parametrize("lambda2", [5e-324, 2.2250738585072014e-308, 1e-300])
+def test_tiny_lambda2_keeps_the_table_exact(lambda2):
+    # lambda2 = 5e-324 puts den at 2**1074, past the float range: the host's
+    # numerators are then far beyond it too.
+    P = pl.offdiagonal_pattern(3, 3)
+    poly = _reduced_polynomial(P, (1, 2, 3), lambda2)
+    _assert_one_exact_table(poly)
+    assert poly.den == Fraction(lambda2).denominator
+    report = pl.map_f(P, (1, 2, 3), lambda2)
+    assert report.value == pytest.approx(float(pl.grosu_map(Fraction(lambda2), 3, 3)), abs=1e-15)
+
+
+def test_the_grid_oracle_reads_the_cached_polynomial(monkeypatch):
+    calls = []
+    real = lagrangian._multinomials
+    monkeypatch.setattr(lagrangian, "_multinomials",
+                        lambda columns: calls.append(1) or real(columns))
+    P = pl.offdiagonal_pattern(3, 3)
+    lagrangian._polynomial.cache_clear()
+    assert pl.grid_oracle(P, 6) == Fraction(8, 9)
+    pl.maximize(P)
+    assert lagrangian._polynomial.cache_info().misses == 1
+    assert len(calls) == 1
 
 
 @KERNEL_SETTINGS
@@ -198,16 +243,21 @@ def test_each_derived_table_is_built_once(P, monkeypatch):
     # A certificate of None is kept as well, so the uncertified blowup does
     # not rebuild its chamber on the second call.
     calls = Counter()
-    for name in ("_exact_integers", "_twin_classes", "_chamber_piece"):
-        def spy(*args, name=name, real=getattr(lagrangian, name)):
+
+    def counted(name, real):
+        def spy(*args):
             calls[name] += 1
             return real(*args)
-        monkeypatch.setattr(lagrangian, name, spy)
+        return spy
+
+    monkeypatch.setattr(_Poly.merged, "func", counted("merged", _Poly.merged.func))
+    for name in ("_twin_classes", "_chamber_piece"):
+        monkeypatch.setattr(lagrangian, name, counted(name, getattr(lagrangian, name)))
     lagrangian._polynomial.cache_clear()
     first = pl.maximize(P)
     scatter = _polynomial(P).scatter
     second = pl.maximize(P, pl.OptimizerConfig(seed=1))
-    assert calls == {"_exact_integers": 1, "_twin_classes": 1, "_chamber_piece": 1}
+    assert calls == {"merged": 1, "_twin_classes": 1, "_chamber_piece": 1}
     assert _polynomial(P).scatter is scatter
     assert first.value == pytest.approx(second.value, abs=1e-12)
 
@@ -227,7 +277,7 @@ def test_complete_and_offdiagonal_patterns_certify_the_barycenter(m, r):
 def test_past_the_chamber_cap_there_is_no_certificate(monkeypatch):
     # On the chamber K5^3's largest coefficient is the barycenter's.
     poly = _polynomial(pl.complete_pattern(5, 3))
-    fresh = lambda: _Poly(poly.slots.copy(), poly.coef.copy(), poly.m)
+    fresh = lambda: _Poly(poly.slots.copy(), poly.num.copy(), poly.den, poly.m)
     monkeypatch.setattr(lagrangian, "CHAMBER_CAP", 5**3)
     assert fresh().certificate == (Fraction(12, 25), ((0, 1, 2, 3, 4),))
     monkeypatch.setattr(lagrangian, "CHAMBER_CAP", 5**3 - 1)
@@ -239,7 +289,7 @@ def test_past_the_chamber_cap_the_ascent_finds_a_diagonal_edge(monkeypatch):
     # certificate would prove; past the cap the ascent has to find it.
     poly = _polynomial(pl.Pattern(3, 3, [[1, 1, 1], [1, 2, 3]]))
     monkeypatch.setattr(lagrangian, "CHAMBER_CAP", 3**3 - 1)
-    fresh = _Poly(poly.slots.copy(), poly.coef.copy(), poly.m)
+    fresh = _Poly(poly.slots.copy(), poly.num.copy(), poly.den, poly.m)
     assert fresh.certificate is None
     report = _maximize_poly(fresh, pl.OptimizerConfig())
     assert report.value == 1.0 and report.converged

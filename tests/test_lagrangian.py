@@ -68,7 +68,25 @@ def test_simplex_point_validation():
         SimplexPoint([0.5, 0.6])
     with pytest.raises(ValueError):
         SimplexPoint([1.1, -0.1])
+    # NaN passes both the sign test and the sum test.
+    for weights in ([math.nan, 1.0], [math.inf, 1.0], [-math.inf, 1.0], [math.nan, 0.5, 0.5]):
+        with pytest.raises(ValueError, match="non-finite"):
+            SimplexPoint(weights)
     assert SimplexPoint.uniform(4).weights.sum() == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_every_entry_point_rejects_non_finite_weights(bad):
+    P, inner = pl.complete_pattern(3, 2), pl.complete_pattern(2, 2)
+    x = [bad, 0.5, 0.5]
+    entry_points = [lambda: pl.eval_lagrange(P, x),
+                    lambda: eval_lagrange_unnormalized(P, x),
+                    lambda: pl.grad_lagrange(P, x),
+                    lambda: pl.eval_decomposition(P, inner, [1], [bad, 0.25, 0.25, 0.5]),
+                    lambda: pl.project_to_simplex([bad, 1.0])]
+    for call in entry_points:
+        with pytest.raises(ValueError, match="non-finite"):
+            call()
 
 
 def test_homogeneity_of_raw_evaluator(rng):
