@@ -25,7 +25,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import CapExceeded
-from .lagrangian import (OptimizerConfig, OptimizerReport, _as_weights,
+from .lagrangian import (OptimizerConfig, OptimizerReport, _as_weights, _finite,
                          _maximize_poly, _multinomials, _Poly, _polynomial,
                          _random_starts, eval_lagrange, eval_lagrange_unnormalized, maximize)
 from .patterns import (Pattern, _runs, _substitute, iter_multisets, random_pattern,
@@ -188,7 +188,7 @@ def multiset_power_gap(y, s: int) -> float:
     summing the weighted monomials of all s-multisets on a block reproduces
     the s-th power of the block total.
     """
-    w = np.asarray(y, dtype=float)
+    w = _finite(np.asarray(y, dtype=float))
     if s < 1:
         raise ValueError("s must be >= 1")
     total = 0.0
@@ -206,13 +206,13 @@ def multiset_power_gap(y, s: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _reduced_polynomial(P1: Pattern, glue: tuple[int, ...], lambda2: float) -> _Poly:
+def _reduced_polynomial(P1: Pattern, glue: tuple[int, ...], lambda2: float | Fraction) -> _Poly:
     """The reduced objective as one slot-table polynomial: the host's edges
     plus a diagonal term <i, ..., i> of weight lambda2 per glued index i."""
     return _polynomial(P1).plus_powers([i - 1 for i in glue], lambda2)
 
 
-def map_f(P1: Pattern, glue, lambda2: float,
+def map_f(P1: Pattern, glue, lambda2: float | Fraction,
           cfg: OptimizerConfig | None = None) -> OptimizerReport:
     """Maximize the reduced objective, host polynomial plus lambda2 * sum of
     r-th powers over the glue set, over the host simplex.
@@ -222,8 +222,11 @@ def map_f(P1: Pattern, glue, lambda2: float,
     pattern's structure is irrelevant beyond that number.  As with
     eval_decomposition, the identification with the glued Lagrangian
     assumes the host carries no glued index's full diagonal multiset.
+    A Fraction lambda2 enters the polynomial exactly, so 2/9 on the Grosu
+    host offdiagonal_pattern(3, 3) certifies 74/81; any other number is
+    taken as a float.
     """
-    lambda2 = float(lambda2)
+    lambda2 = lambda2 if isinstance(lambda2, Fraction) else float(lambda2)
     glue = _check_glue(P1.m, glue)
     if not 0.0 <= lambda2 <= 1.0:
         raise ValueError(f"lambda2 must lie in [0, 1], got {lambda2}")

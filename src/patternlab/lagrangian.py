@@ -7,14 +7,15 @@ The density polynomial of a pattern P = (m, edges) with uniformity r is
 restricted to the standard simplex (nonnegative weights summing to 1).  Its
 maximum over the simplex, the Lagrangian of P, equals the supremum of edge
 densities over large blowups of P.  Global maximization is NP-hard in
-general (it contains max-clique through the Motzkin-Straus identity), so
-:func:`maximize` reports the best point that multistart projected gradient
-ascent finds, with the polynomial's float value there (a lower bound on the
-Lagrangian only up to float rounding) and the KKT stationarity residual.
-Before any ascent, exact integer Bernstein coefficients on the twin chamber
-(the points whose coordinates decrease within each class of interchangeable
-indices) can prove a start row a maximizer; that certified point is then a
-proven maximizer, and no row advances.  :func:`grid_oracle` provides exact
+general (it contains max-clique through the Motzkin-Straus identity).
+First, exact integer Bernstein coefficients on the twin chamber (the points
+whose coordinates decrease within each class of interchangeable indices)
+can prove the maximum attained at chamber vertices; :func:`maximize` then
+reports such a vertex with the exact maximum, correctly rounded, and builds
+no start row.  Otherwise it reports the best point that multistart
+projected gradient ascent finds, with the polynomial's float value there (a
+lower bound on the Lagrangian only up to float rounding) and the KKT
+stationarity residual.  :func:`grid_oracle` provides exact
 rational grid maxima as independent ground truth at desk scale: one integer
 numpy pass over the denominator-d grid, enumerated by stars and bars in
 bounded chunks.
@@ -156,14 +157,14 @@ class OptimizerConfig:
 class OptimizerReport:
     """Outcome of a simplex maximization.
 
-    value is the polynomial's float value at argmax, so it is a lower bound
-    on the true maximum only up to float rounding.  When the polynomial's
-    exact Bernstein certificate holds at a start row, no row is advanced:
-    that row is a proven maximizer, and argmax is a certified start row.
-    support lists the 1-based coordinates of argmax above
-    SUPPORT_THRESHOLD.  restarts_used counts the start rows built: one
-    subset barycenter per orbit of the twin-class permutations, plus the
-    random starts.
+    When the polynomial's exact Bernstein certificate holds, argmax is a
+    certified vertex, value is the exact maximum correctly rounded, and
+    restarts_used counts the certified vertices; no ascent runs.
+    Otherwise value is the polynomial's float value at argmax, a lower
+    bound on the true maximum only up to float rounding, and restarts_used
+    counts the start rows built: one subset barycenter per orbit of the
+    twin-class permutations, plus the random starts.  support lists the
+    1-based coordinates of argmax above SUPPORT_THRESHOLD.
     """
 
     value: float
@@ -699,11 +700,8 @@ def _maximize_arrays(poly: _Poly, cfg: OptimizerConfig):
     """Multistart projected gradient ascent with Armijo backtracking.
 
     All starts advance in lockstep (vectorized rows) until each has stopped.
-    When poly.certificate proves a start row a maximizer, no row advances
-    and the winner is a certified row.  Returns the winning row: (x, value,
-    kkt_residual, converged, starts_used).  Ties in value within 1e-12, or
-    among certified rows, go to the smallest (kkt residual, point), the rule
-    of the finishing step.
+    Returns (rows, starts_used): the finished rows whose value is within
+    1e-12 of the best, and the number of start rows built.
     """
     m = poly.m
     value_of = lambda X: _value_rows(poly, X)
@@ -716,15 +714,9 @@ def _maximize_arrays(poly: _Poly, cfg: OptimizerConfig):
     t = np.ones(S)
     stalled = np.zeros(S, dtype=int)
     needs_finish = np.zeros(S, dtype=bool)
-    # A certified vertex is the uniform point on its members, entry for entry
-    # the barycenter row of that subset when it is a start.
-    certified = np.zeros(S, dtype=bool)
-    for v in poly.certificate[1] if poly.certificate else ():
-        certified |= (X == np.isin(np.arange(m), v) / len(v)).all(axis=1)
-    proven = certified.any()
-    alive = np.full(S, not proven)
+    alive = np.ones(S, dtype=bool)
 
-    for _ in range(0 if proven else cfg.max_iterations):
+    for _ in range(cfg.max_iterations):
         G = grad_of(X)
         mu = (X * G).sum(axis=1)
         kkt = _kkt_rows(X, G, mu)
@@ -776,40 +768,42 @@ def _maximize_arrays(poly: _Poly, cfg: OptimizerConfig):
         f_done, _, x_done = _finish_rows(poly, X[rows[first]])
         F[rows], X[rows] = f_done[same], x_done[same]
 
-    # A proven maximum is reported at a certified row: another row can tie
-    # it within 1e-12 and still round above it.
-    top = np.nonzero(certified if proven else F >= F.max() - 1e-12)[0]
-    _, kkt_top, _ = _describe_rows(poly, X[top])
-    x_best = X[top[np.lexsort((*X[top].T[::-1], kkt_top))[0]]].copy()
-    # Described alone, so the value is eval_lagrange at the reported point.
-    f_best, kkt_best, mu_best = (float(v[0]) for v in _describe_rows(poly, x_best[None, :]))
-    accept_tol = KKT_ACCEPT_FACTOR * cfg.tolerance * max(1.0, abs(mu_best))
-    return x_best, f_best, kkt_best, bool(kkt_best <= accept_tol), S
+    return X[F >= F.max() - 1e-12], S
 
 
 def maximize(P: Pattern, cfg: OptimizerConfig | None = None) -> OptimizerReport:
     """Best density-polynomial value found over the simplex.
 
-    The report's value is the polynomial's float value at the reported
-    point, so it is a lower bound on the Lagrangian of P only up to float
-    rounding; converged means the KKT stationarity residual met the
-    acceptance threshold.  A start row that the exact twin-chamber
-    certificate proves a maximizer ends the search before any ascent.
+    When the exact twin-chamber certificate holds, the report is a certified
+    vertex, its value the exact maximum correctly rounded, and no ascent
+    runs.  Otherwise the value is the polynomial's float value at the
+    reported point, so it is a lower bound on the Lagrangian of P only up
+    to float rounding.  converged means the KKT stationarity residual met
+    the acceptance threshold.
     """
     return _maximize_poly(_polynomial(P), cfg or OptimizerConfig())
 
 
 def _maximize_poly(poly: _Poly, cfg: OptimizerConfig) -> OptimizerReport:
     """Report for the maximum of any slot-table polynomial over the simplex;
-    the one path behind maximize and the reduced objective of gluing."""
-    if poly.m == 1:
-        x = np.ones(1)
-        value = float(_value_rows(poly, x[None, :])[0])
-        kkt, converged, used = 0.0, True, 1
+    the one path behind maximize and the reduced objective of gluing.  The
+    candidates are the certified vertices, else the ascent's best rows; ties
+    go to the smallest (kkt residual, point), the rule of the finishing step."""
+    if poly.certificate:
+        exact, vertices = poly.certificate
+        X = np.array([np.isin(np.arange(poly.m), v) / len(v) for v in vertices])
+        used = len(vertices)
     else:
-        x, value, kkt, converged, used = _maximize_arrays(poly, cfg)
+        X, used = _maximize_arrays(poly, cfg)
+    _, kkt, _ = _describe_rows(poly, X)
+    x = X[np.lexsort((*X.T[::-1], kkt))[0]]
+    # Described alone, so an uncertified value is eval_lagrange at x.
+    value, kkt, mu = (float(v[0]) for v in _describe_rows(poly, x[None, :]))
+    if poly.certificate:
+        value = float(exact)
+    converged = kkt <= KKT_ACCEPT_FACTOR * cfg.tolerance * max(1.0, abs(mu))
     support = tuple(int(i + 1) for i in np.nonzero(x > SUPPORT_THRESHOLD)[0])
-    return OptimizerReport(value, SimplexPoint(x), support, used, converged, kkt)
+    return OptimizerReport(value, SimplexPoint(x), support, used, bool(converged), kkt)
 
 
 def lagrangian_of_hypergraph(G: Hypergraph, cfg: OptimizerConfig | None = None) -> OptimizerReport:

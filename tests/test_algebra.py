@@ -302,6 +302,14 @@ def test_multiset_power_collapse(rng):
             assert pl.multiset_power_gap(y, s) < 1e-12
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_multiset_power_gap_rejects_non_finite_input(bad):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="non-finite weight"):
+            pl.multiset_power_gap([bad, 1.0], 2)
+
+
 # ---------------------------------------------------------------------------
 # Reduced objective and map_f
 # ---------------------------------------------------------------------------
@@ -350,6 +358,32 @@ def test_map_f_grosu_values():
             for a in (0.0, 2 / 9, 5 / 9, 1.0):
                 rep = pl.map_f(pl.offdiagonal_pattern(m, r), tuple(range(1, m + 1)), a)
                 assert rep.value == pytest.approx(1 - (1 - a) / m ** (r - 1), abs=1e-8)
+
+
+@pytest.mark.parametrize("m, r", [(2, 2), (2, 3), (3, 3), (4, 3), (3, 4)])
+def test_map_f_takes_lambda2_exactly(m, r):
+    # A Fraction lambda2 enters the polynomial exactly, so the certificate
+    # is grosu_map(a) itself and the value is its correct rounding.
+    host, glue = pl.offdiagonal_pattern(m, r), tuple(range(1, m + 1))
+    for a in (Fraction(1, 2), Fraction(2, 9), Fraction(3, 10)):
+        exact = pl.grosu_map(a, m, r)
+        assert _reduced_polynomial(host, glue, a).certificate[0] == exact
+        assert pl.map_f(host, glue, a).value == float(exact)
+
+
+def test_map_f_certifies_74_81_at_two_ninths():
+    host, a = pl.offdiagonal_pattern(3, 3), Fraction(2, 9)
+    assert _reduced_polynomial(host, (1, 2, 3), a).certificate == (Fraction(74, 81), ((0, 1, 2),))
+    rep = pl.map_f(host, (1, 2, 3), a)
+    assert rep.value == float(Fraction(74, 81))
+    assert rep.argmax == pl.SimplexPoint.uniform(3)
+    assert rep.restarts_used == 1 and rep.converged
+
+
+def test_map_f_takes_any_other_number_as_a_float():
+    host = pl.offdiagonal_pattern(2, 2)
+    assert pl.map_f(host, (1, 2), np.float32(0.5)).value == 0.75
+    assert pl.map_f(host, (1, 2), 0.3).value == float(1 - (1 - Fraction(0.3)) / 2)
 
 
 def test_map_f_lambda_one_is_one():

@@ -204,7 +204,7 @@ def symmetric_patterns(draw):
 @given(st.one_of(patterns(), symmetric_patterns()))
 def test_certified_value_is_the_maximum(P):
     poly = _polynomial(P)
-    if P.m == 1 or poly.certificate is None:
+    if poly.certificate is None:
         return
     value, vertices = poly.certificate
     for members in vertices:
@@ -217,16 +217,15 @@ def test_certified_value_is_the_maximum(P):
         searched = pl.maximize(P)
     assert float(value) == pytest.approx(searched.value, abs=1e-12)
     report = pl.maximize(P)
-    assert report.value == pytest.approx(searched.value, abs=1e-12)
-    # m <= 6, so every chamber vertex is a start row and the winner is one.
+    assert report.value == float(value)
     assert any(report.argmax == pl.SimplexPoint(np.isin(np.arange(P.m), v) / len(v))
                for v in vertices)
 
 
 def test_a_flat_certified_polynomial_reports_a_certified_vertex():
     # (x1 + x2)^3 is 1 on the whole simplex, certified at e_1 and at the
-    # barycenter.  Random start rows tie within 1e-12, and some round above
-    # 1; the report must not pick one of those.
+    # barycenter.  Random points tie within 1e-12, and some round above 1;
+    # the report is a certified vertex instead.
     P = pl.Pattern(2, 3, [[1, 1, 1], [1, 1, 2], [1, 2, 2], [2, 2, 2]])
     value, vertices = _polynomial(P).certificate
     assert value == 1 and vertices == ((0,), (0, 1))

@@ -289,9 +289,9 @@ def test_barycenter_starts_match_the_filtered_enumeration(labels):
 
 
 def test_certified_start_row_skips_the_ascent(monkeypatch):
-    # The full barycenter of K10^4 is certified, so no row advances: the two
-    # gradient passes describe the start rows and the winner, and the
-    # report still counts every start row.
+    # The full barycenter of K10^4 is the one certified vertex, so no start
+    # row is built: the two gradient passes describe the candidate and the
+    # winner, one row each, and the value is the exact 63/125 rounded.
     calls = []
     grad_rows = lagrangian._grad_rows
 
@@ -301,20 +301,47 @@ def test_certified_start_row_skips_the_ascent(monkeypatch):
 
     monkeypatch.setattr(lagrangian, "_grad_rows", counted)
     rep = pl.maximize(pl.complete_pattern(10, 4))
-    assert len(calls) == 2
-    assert rep.value == pytest.approx(0.504, abs=1e-15)
+    assert calls == [1, 1]
+    assert rep.value == 0.504
     assert rep.argmax.weights.tolist() == [0.1] * 10
-    assert rep.restarts_used == 10 + OptimizerConfig().restarts
+    assert rep.restarts_used == 1
     assert rep.converged
 
 
 def test_value_ties_go_to_the_smallest_kkt_residual():
-    # The barycenter start is the exact optimum of offdiagonal(3,3); a row
-    # that ends within 1e-12 below it must not win on a smaller point.
+    # The barycenter is the certified optimum of offdiagonal(3,3); a point
+    # within 1e-12 below it must not win on a smaller point.  The value is
+    # the exact 8/9 rounded, not the float evaluation 0.8888888888888891.
     P = pl.offdiagonal_pattern(3, 3)
     rep = pl.maximize(P)
-    assert rep.value >= pl.eval_lagrange(P, SimplexPoint.uniform(3))
+    assert rep.argmax == SimplexPoint.uniform(3)
+    assert rep.value == float(Fraction(8, 9))
     assert rep.kkt_residual == 0.0
+
+
+@pytest.mark.parametrize("P, value, support", [
+    (Pattern(11, 2, pl.pattern_of_hypergraph(pl.complete_graph(5)).rows.tolist()), 0.8,
+     (1, 2, 3, 4, 5)),
+    (Pattern(12, 3, [[1, 2, 3]]), float(Fraction(2, 9)), (1, 2, 3)),
+], ids=["K5-plus-6", "K3_3-plus-9"])
+def test_a_certified_vertex_outside_the_start_rows_is_reported_exactly(monkeypatch, P, value,
+                                                                        support):
+    # Past m = 10 the barycenter starts keep only subsets of size 1, 2 and
+    # m, so the certified uniform point on the support is no start row; the
+    # report is that vertex all the same, and no ascent runs.
+    calls = []
+    grad_rows = lagrangian._grad_rows
+
+    def counted(poly, X):
+        calls.append(X.shape[0])
+        return grad_rows(poly, X)
+
+    monkeypatch.setattr(lagrangian, "_grad_rows", counted)
+    rep = pl.maximize(P)
+    assert rep.value == value
+    assert rep.argmax == SimplexPoint(np.isin(np.arange(1, P.m + 1), support) / len(support))
+    assert rep.support == support
+    assert calls == [1, 1] and rep.restarts_used == 1
 
 
 def test_lockstep_stops_at_the_simplex_upper_bound(monkeypatch):
@@ -698,6 +725,8 @@ def test_orbit_starts_keep_the_dense_values(monkeypatch):
 
 
 def test_orbit_starts_keep_the_values_of_planted_twins(monkeypatch):
+    # The start rows are counted, so both sides run the ascent.
+    monkeypatch.setattr(lagrangian._Poly, "certificate", property(lambda poly: None))
     rng = np.random.default_rng(2024)
     for _ in range(12):
         P = pl.random_pattern(rng, int(rng.integers(2, 6)), int(rng.integers(2, 5)),
