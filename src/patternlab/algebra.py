@@ -360,9 +360,10 @@ def nonjump_catalog(r: int, *, frankl_rodl_l: Iterable[int] = ()) -> list[Catalo
             note="printed closed form leaves [0, 1] for admissible parameters; omitted",
         ),
     ]
-    for l in sorted(set(int(v) for v in frankl_rodl_l)):
-        if l <= 2 * r:
-            raise ValueError(f"family parameter l must exceed 2r={2 * r}, got {l}")
+    for l in sorted(set(frankl_rodl_l)):
+        if int(l) != l or l <= 2 * r:
+            raise ValueError(f"family parameter l must be an integer exceeding 2r={2 * r}, got {l}")
+        l = int(l)
         entries.append(CatalogEntry(
             statement=f"1 - 1/{l}^(r-1)",
             value=1 - Fraction(1, l ** (r - 1)),

@@ -84,15 +84,23 @@ class Partition:
         return sum(len(p) for p in self.parts)
 
 
+def _class_sizes(P: Pattern, sizes: Sequence[int]) -> list[int]:
+    """The class sizes of a blowup of P as ints: one per index, none negative."""
+    if len(sizes) != P.m:
+        raise ValueError(f"expected {P.m} sizes, got {len(sizes)}")
+    sizes = [int(s) for s in sizes]
+    if min(sizes, default=0) < 0:
+        raise ValueError(f"class sizes must be >= 0, got {min(sizes)}")
+    return sizes
+
+
 def blowup(P: Pattern, sizes: Sequence[int]) -> tuple[Hypergraph, Partition]:
     """Materialize the blowup of P with the given class sizes.
 
     Every edge's profile is an edge of P, and every r-set whose profile is
     an edge of P is included.  Raises CapExceeded when C(n, r) > MATERIALIZE_CAP.
     """
-    if len(sizes) != P.m:
-        raise ValueError(f"expected {P.m} sizes, got {len(sizes)}")
-    part = Partition.from_sizes(sizes)
+    part = Partition.from_sizes(_class_sizes(P, sizes))
     n = part.n
     if n < 1:
         raise ValueError("blowup needs at least one vertex")
@@ -109,9 +117,7 @@ def blowup(P: Pattern, sizes: Sequence[int]) -> tuple[Hypergraph, Partition]:
 
 def blowup_edge_count(P: Pattern, sizes: Sequence[int]) -> int:
     """Closed-form edge count: sum over edges of prod_i C(size_i, mult_i)."""
-    if len(sizes) != P.m:
-        raise ValueError(f"expected {P.m} sizes, got {len(sizes)}")
-    sizes = [int(s) for s in sizes]
+    sizes = _class_sizes(P, sizes)
     total = 0
     for row in P.rows.tolist():
         term = 1
@@ -132,7 +138,8 @@ def density(G: Hypergraph) -> float:
 
 def blowup_density(P: Pattern, sizes: Sequence[int]) -> float:
     """Blowup density from the closed-form count, without materializing."""
-    n = sum(int(s) for s in sizes)
+    sizes = _class_sizes(P, sizes)
+    n = sum(sizes)
     if n < P.r:
         raise ValueError(f"density needs n >= r, got n={n}, r={P.r}")
     return blowup_edge_count(P, sizes) / math.comb(n, P.r)
@@ -210,9 +217,11 @@ class SequenceCheckReport:
     """Finite-data evidence for the three sequence conditions.
 
     Condition 1 (the limit) is reported as a trailing-window slope only: a
-    finite prefix cannot certify a limit.  No value is certified: each is the
-    optimizer's float value, a lower bound only up to rounding.  So condition-2
-    passes and condition-3 violations hold up to rounding; the rest is evidence.
+    finite prefix cannot certify a limit.  No verdict is certified: each value
+    is maximize's, either a certified maximum correctly rounded or the
+    optimizer's float value, so a lower bound only up to rounding.  So
+    condition-2 passes and condition-3 violations hold up to rounding; the
+    rest is evidence.
     """
 
     lambda0: float

@@ -106,7 +106,8 @@ class SimplexPoint:
 
     @classmethod
     def uniform(cls, m: int) -> "SimplexPoint":
-        return cls(np.full(int(m), 1.0 / int(m)))
+        m = int(m)
+        return cls(np.full(m, 1.0 / m) if m >= 1 else [])
 
     @property
     def weights(self) -> np.ndarray:
@@ -614,37 +615,23 @@ def _describe_rows(poly: _Poly, X: np.ndarray):
     return _value_rows(poly, X), _kkt_rows(X, G, mu), mu
 
 
-def _finish_rows(poly: _Poly, X: np.ndarray):
-    """Refine plateaued iterates, one result per row.
+def _finish_rows(poly: _Poly, X: np.ndarray) -> np.ndarray:
+    """Refinement rows for plateaued iterates.
 
     Degenerate boundary optima (a coordinate decays like 1/k because its
-    multiplier vanishes) plateau far from machine precision.  Candidates of
-    a row: the point itself, its support-face Newton polish, and polishes of
-    snapped copies with near-zero coordinates pinned to the boundary.  The
-    best objective value wins, then the smallest (kkt residual, point), so
-    this step can only sharpen the result.  All candidates of all rows go
-    through one stacked polish.  Returns (values, kkt residuals, points).
+    multiplier vanishes) plateau far from machine precision.  The rows are
+    the support-face Newton polish of each row of X, in order, then polishes
+    of copies whose coordinates below 1e-2 or 1e-3 snap to 0 (when that
+    changes the support), all in one stacked polish.
     """
-    # Candidate c is a row of C = [X; polishes of X and of its snapped
-    # copies], and owner[c] is the row of X it belongs to.
-    S = X.shape[0]
     support_size = (X > 1e-12).sum(axis=1)
-    owners, starts = [np.arange(S), np.arange(S)], [X]
+    starts = [X]
     for threshold in (1e-2, 1e-3):
         Y = np.where(X < threshold, 0.0, X)
         total = Y.sum(axis=1)
         keep = (total > 0) & ((Y > 0).sum(axis=1) != support_size)
-        owners.append(np.nonzero(keep)[0])
         starts.append(Y[keep] / total[keep, None])
-    owner = np.concatenate(owners)
-    C = np.vstack([X, _kkt_polish_rows(poly, np.vstack(starts))])
-    F, K, _ = _describe_rows(poly, C)
-    best = np.full(S, -np.inf)
-    np.maximum.at(best, owner, F)
-    order = np.lexsort((*C.T[::-1], K, owner))
-    order = order[F[order] >= best[owner[order]] - 1e-12]
-    win = order[np.unique(owner[order], return_index=True)[1]]
-    return F[win], K[win], C[win]
+    return _kkt_polish_rows(poly, np.vstack(starts))
 
 
 # ---------------------------------------------------------------------------
@@ -700,8 +687,9 @@ def _maximize_arrays(poly: _Poly, cfg: OptimizerConfig):
     """Multistart projected gradient ascent with Armijo backtracking.
 
     All starts advance in lockstep (vectorized rows) until each has stopped.
-    Returns (rows, starts_used): the finished rows whose value is within
-    1e-12 of the best, and the number of start rows built.
+    Returns (rows, starts_used): the final iterates followed by the
+    refinement rows of those that plateaued near the best value, and the
+    number of start rows built.
     """
     m = poly.m
     value_of = lambda X: _value_rows(poly, X)
@@ -762,13 +750,8 @@ def _maximize_arrays(poly: _Poly, cfg: OptimizerConfig):
     # Refine plateaued rows that could still contend for the maximum; rows
     # that plateaued at the same point share one refinement.
     rows = np.nonzero(needs_finish & (F >= F.max() - 1e-6))[0]
-    if rows.size:
-        _, first, same = np.unique(np.round(X[rows], 9), axis=0,
-                                   return_index=True, return_inverse=True)
-        f_done, _, x_done = _finish_rows(poly, X[rows[first]])
-        F[rows], X[rows] = f_done[same], x_done[same]
-
-    return X[F >= F.max() - 1e-12], S
+    _, first = np.unique(np.round(X[rows], 9), axis=0, return_index=True)
+    return np.vstack([X, _finish_rows(poly, X[rows[first]])]), S
 
 
 def maximize(P: Pattern, cfg: OptimizerConfig | None = None) -> OptimizerReport:
@@ -787,15 +770,18 @@ def maximize(P: Pattern, cfg: OptimizerConfig | None = None) -> OptimizerReport:
 def _maximize_poly(poly: _Poly, cfg: OptimizerConfig) -> OptimizerReport:
     """Report for the maximum of any slot-table polynomial over the simplex;
     the one path behind maximize and the reduced objective of gluing.  The
-    candidates are the certified vertices, else the ascent's best rows; ties
-    go to the smallest (kkt residual, point), the rule of the finishing step."""
+    candidates are the certified vertices, else the ascent's rows and their
+    refinements.  The one winner rule: the best value within 1e-12, then the
+    smallest (kkt residual, point)."""
     if poly.certificate:
         exact, vertices = poly.certificate
         X = np.array([np.isin(np.arange(poly.m), v) / len(v) for v in vertices])
         used = len(vertices)
     else:
         X, used = _maximize_arrays(poly, cfg)
-    _, kkt, _ = _describe_rows(poly, X)
+    F, kkt, _ = _describe_rows(poly, X)
+    near = F >= F.max() - 1e-12
+    X, kkt = X[near], kkt[near]
     x = X[np.lexsort((*X.T[::-1], kkt))[0]]
     # Described alone, so an uncertified value is eval_lagrange at x.
     value, kkt, mu = (float(v[0]) for v in _describe_rows(poly, x[None, :]))

@@ -515,6 +515,14 @@ def test_catalog_family_materialization():
         pl.nonjump_catalog(3, frankl_rodl_l=[6])
 
 
+def test_catalog_rejects_a_fractional_family_parameter():
+    # int(7.5) is 7, which would quietly list the l = 7 entries.
+    for l in (7.5, 9.000001):
+        with pytest.raises(ValueError, match="must be an integer"):
+            pl.nonjump_catalog(3, frankl_rodl_l=[9, l])
+    assert pl.nonjump_catalog(3, frankl_rodl_l=[7.0]) == pl.nonjump_catalog(3, frankl_rodl_l=[7])
+
+
 def test_catalog_requires_r_at_least_3():
     with pytest.raises(ValueError):
         pl.nonjump_catalog(2)

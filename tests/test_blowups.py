@@ -212,6 +212,18 @@ def test_blowup_wrong_size_count(p112):
         pl.blowup(p112, (2, 2, 2))
 
 
+def test_every_blowup_entry_point_checks_sizes_alike():
+    # An edge touching only class 1 never reads class 2's size, and a zero
+    # term ends a product early; the sizes are still checked.
+    P = Pattern(2, 3, [[1, 1, 1]])
+    for call in (pl.blowup, pl.blowup_edge_count, pl.blowup_density):
+        for sizes, message in (((4, -1), "class sizes must be >= 0, got -1"),
+                               ((3, -5), "class sizes must be >= 0, got -5"),
+                               ((3, 1, 1), "expected 2 sizes, got 3")):
+            with pytest.raises(ValueError, match=message):
+                call(P, sizes)
+
+
 def test_nested_blowup_is_subgraph(p112, rng):
     # part-wise vertex injection embeds the smaller blowup in the larger
     small_sizes, large_sizes = (2, 1), (3, 3)

@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 import patternlab as pl
 from patternlab import lagrangian
 from patternlab.algebra import _reduced_polynomial
-from patternlab.lagrangian import (_chamber_piece, _finish_rows, _grad_rows, _hessian_rows,
+from patternlab.lagrangian import (_chamber_piece, _describe_rows, _finish_rows, _grad_rows,
+                                   _hessian_rows, _kkt_polish_rows, _maximize_arrays,
                                    _maximize_poly, _Poly, _polynomial, _value_rows)
 
 from conftest import (duplicate_index, integer_terms, reference_simplex_bound,
@@ -405,12 +406,38 @@ def test_row_blocks_of_the_empty_pattern():
 def test_stacked_finish_never_loses_value(case):
     P, X = case
     poly = _polynomial(P)
-    values, _, points = _finish_rows(poly, X)
-    assert points.shape == X.shape
-    np.testing.assert_allclose(points.sum(axis=1), 1.0, rtol=0, atol=1e-12)
-    assert (points >= 0).all()
-    assert (values >= _value_rows(poly, X) - 1e-12).all()
-    np.testing.assert_allclose(values, _value_rows(poly, points), rtol=0, atol=1e-14)
+    R = _finish_rows(poly, X)
+    assert R.shape[1] == P.m and len(X) <= len(R) <= 3 * len(X)
+    assert np.isfinite(R).all() and (R >= 0).all()
+    np.testing.assert_allclose(R.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+    # The first rows are the face polishes of X, in order: coordinates off
+    # a row's support face stay as they are.  Polished in another stack, a
+    # face's batched solves differ in the last bits, which a singular
+    # Newton matrix spreads to about 1e-9.
+    off = X <= 1e-12
+    np.testing.assert_array_equal(R[:len(X)][off], X[off])
+    assert (R[:len(X)][~off] > 0).all()
+    np.testing.assert_allclose(R[:len(X)], _kkt_polish_rows(poly, X), rtol=0, atol=1e-8)
+
+
+@settings(max_examples=60)
+@given(patterns(), st.integers(0, 2**32 - 1))
+def test_the_report_is_the_winner_rule_over_the_ascent_rows(P, seed):
+    # The rule, applied here to every row the ascent returns: the best
+    # value within 1e-12, then the smallest (kkt residual, point).
+    cfg = pl.OptimizerConfig(restarts=8, seed=seed)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_Poly, "certificate", property(lambda poly: None))
+        poly = _polynomial(P)
+        X, used = _maximize_arrays(poly, cfg)
+        report = pl.maximize(P, cfg)
+    F, kkt, _ = _describe_rows(poly, X)
+    near = F >= F.max() - 1e-12
+    X, kkt = X[near], kkt[near]
+    winner = min(range(len(X)), key=lambda i: (kkt[i], *X[i]))
+    assert report.argmax == pl.SimplexPoint(X[winner])
+    assert report.value == pl.eval_lagrange(P, X[winner])
+    assert report.restarts_used == used
 
 
 def _twin_pairs(classes):

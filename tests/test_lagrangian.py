@@ -73,6 +73,9 @@ def test_simplex_point_validation():
         with pytest.raises(ValueError, match="non-finite"):
             SimplexPoint(weights)
     assert SimplexPoint.uniform(4).weights.sum() == pytest.approx(1.0)
+    for m in (0, -1):
+        with pytest.raises(ValueError, match="nonempty 1-D"):
+            SimplexPoint.uniform(m)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
