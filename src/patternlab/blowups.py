@@ -68,7 +68,7 @@ class Partition:
         parts = []
         next_vertex = 1
         for s in sizes:
-            s = int(s)
+            s = _whole(s)
             if s < 0:
                 raise ValueError(f"class sizes must be >= 0, got {s}")
             parts.append(tuple(range(next_vertex, next_vertex + s)))
@@ -84,11 +84,19 @@ class Partition:
         return sum(len(p) for p in self.parts)
 
 
+def _whole(size) -> int:
+    """A class size as an int; one with a fractional part raises ValueError."""
+    n = int(size)
+    if n != size:
+        raise ValueError(f"class sizes must be integers, got {size}")
+    return n
+
+
 def _class_sizes(P: Pattern, sizes: Sequence[int]) -> list[int]:
     """The class sizes of a blowup of P as ints: one per index, none negative."""
     if len(sizes) != P.m:
         raise ValueError(f"expected {P.m} sizes, got {len(sizes)}")
-    sizes = [int(s) for s in sizes]
+    sizes = [_whole(s) for s in sizes]
     if min(sizes, default=0) < 0:
         raise ValueError(f"class sizes must be >= 0, got {min(sizes)}")
     return sizes

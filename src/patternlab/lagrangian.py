@@ -72,6 +72,7 @@ SUPPORT_THRESHOLD = 1e-7  # argmax coordinates above this form the reported supp
 KKT_POLISH_STEPS = 25  # max Newton steps per support face in _kkt_polish_rows
 GRID_CAP = 1_000_000  # max C(d+m-1, m-1) grid points enumerated by grid_oracle
 CHAMBER_CAP = 2**18  # max m**r coefficients of the certificate; past it there is none
+TWIN_BLOCK = 2**16  # slot pairs hashed at a time by the twin scan
 MINIMALITY_MARGIN = 1e-9  # least value drop, per removed index, of a minimal pattern
 
 
@@ -106,6 +107,8 @@ class SimplexPoint:
 
     @classmethod
     def uniform(cls, m: int) -> "SimplexPoint":
+        if int(m) != m:
+            raise ValueError(f"m must be an integer, got {m}")
         m = int(m)
         return cls(np.full(m, 1.0 / m) if m >= 1 else [])
 
@@ -313,32 +316,97 @@ def _twin_classes(monomials: np.ndarray, summed: np.ndarray,
 
     Twins share a signature: for each multiplicity and each coefficient,
     the number of monomials in which the index has that multiplicity and
-    that coefficient.  Within a signature group each index is tested against
-    the first member of every class found so far; one test per class is
-    enough, as twinship is an equivalence relation.
+    that coefficient.  Within a signature group each index is tested with
+    _swap_fixes, the deciding test, against the first member of every class
+    found so far; one test per class is enough, as twinship is an
+    equivalence relation.  Once a group holds two classes, the candidate
+    heads are narrowed first by _twin_hash, so that indices alike in every
+    signature but twin to none (a vertex-transitive graph) need no test.
     """
     r, U = monomials.shape
     coefs, coef_id = np.unique(summed, return_inverse=True)
     kinds = max(1, coefs.size)
     # Multiplicity of an index in a sorted column: its run length, read at
     # the run's last slot.
+    run = _run_lengths(monomials)
     ends = np.ones((r, U), dtype=bool)
     ends[:-1] = monomials[1:] != monomials[:-1]
-    cell = (monomials * r + _run_lengths(monomials) - 1) * kinds + coef_id
+    cell = (monomials * r + run - 1) * kinds + coef_id
     signature = np.bincount(cell[ends], minlength=m * r * kinds).reshape(m, r * kinds)
-    group = np.unique(signature, axis=0, return_inverse=True)[1].reshape(-1)
+    keys = np.unique(signature, axis=0, return_inverse=True)[1].reshape(-1).tolist()
 
-    heads: dict[int, list[int]] = {}
+    heads: dict = {}  # the first member of each class found so far, by key
     classes: dict[int, list[int]] = {}
-    for i in range(m):
-        candidates = heads.setdefault(int(group[i]), [])
-        head = next((h for h in candidates if _swap_fixes(monomials, coef_id, h, i)), None)
-        if head is None:
-            candidates.append(i)
-            classes[i] = [i]
-        else:
-            classes[head].append(i)
+    shared: dict[int, list[int]] = {}
+    hashed = False
+    for j in range(m):
+        candidates = heads.get(keys[j], []) + [h for h in shared.get(j, ()) if h in classes]
+        head = next((h for h in candidates if _swap_fixes(monomials, coef_id, h, j)), None)
+        if head is not None:
+            classes[head].append(j)
+            continue
+        if candidates and not hashed:
+            keys, shared = _twin_hash(monomials, coef_id, run, ends, keys, kinds)
+            heads, hashed = {}, True
+            for h in classes:
+                heads.setdefault(keys[h], []).append(h)
+        heads.setdefault(keys[j], []).append(j)
+        classes[j] = [j]
     return tuple(tuple(c) for c in classes.values())
+
+
+def _twin_hash(monomials: np.ndarray, coef_id: np.ndarray, run: np.ndarray, ends: np.ndarray,
+               group: list[int], kinds: int) -> tuple[list, dict[int, list[int]]]:
+    """Keys that twins share, and for each index j the smaller indices that
+    share a monomial with j and pass the same test.
+
+    Twins i and j also share their co-occurrence rows outside the pair:
+    for every other index k, the multiset of (multiplicity of the index,
+    multiplicity of k, coefficient) over the monomials holding both.  Row
+    i of the co-occurrence matrix C holds, at column k, the sum of a random
+    salt per such triple; its hash, in wrapping uint64 arithmetic, is
+    row_i = sum_k C[i, k] z_k.  For twins, C[i, j] = C[j, i] and
+    row_i - C[i, j] z_j = row_j - C[j, i] z_i.  Pairs that share no
+    monomial have C[i, j] = 0, so twins among them have equal keys (group,
+    row); pairs of one group that share one are tested with C, kept only
+    within groups.  The slot pairs are read TWIN_BLOCK at a time.
+    """
+    r, U = monomials.shape
+    m = len(group)
+    group = np.array(group)
+    rng = np.random.default_rng(0)
+    salt = rng.integers(0, 2**64, size=r * r * kinds, dtype=np.uint64)
+    z = rng.integers(0, 2**64, size=m, dtype=np.uint64)
+    first, second = np.nonzero(~np.eye(r, dtype=bool))  # ordered pairs of slots
+    row = np.zeros(m, dtype=np.uint64)
+    keys, C = np.empty(0, dtype=np.intp), np.empty(0, dtype=np.uint64)
+    step = max(1, TWIN_BLOCK // first.size)
+    for start in range(0, U, step):
+        # Run ends of one column hold distinct indices i and k.
+        pair, col = np.nonzero(ends[first, start:start + step] & ends[second, start:start + step])
+        s, t, col = first[pair], second[pair], col + start
+        i, k = monomials[s, col], monomials[t, col]
+        salted = salt[((run[s, col] - 1) * r + run[t, col] - 1) * kinds + coef_id[col]]
+        np.add.at(row, i, salted * z[k])
+        near = group[i] == group[k]
+        keys, C = _summed(np.concatenate([keys, i[near] * m + k[near]]),
+                          np.concatenate([C, salted[near]]))
+    a, b = np.divmod(keys, m)
+    back = C[np.searchsorted(keys, b * m + a)]  # C[k, i], present as sharing is symmetric
+    fits = (a < b) & (C == back) & (row[a] - C * z[b] == row[b] - back * z[a])
+    shared: dict[int, list[int]] = {}
+    for low, high in zip(a[fits].tolist(), b[fits].tolist()):
+        shared.setdefault(high, []).append(low)
+    return list(zip(group.tolist(), row.tolist())), shared
+
+
+def _summed(keys: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct keys, sorted, and the wrapping uint64 sum of the values
+    of each."""
+    keys, where = np.unique(keys, return_inverse=True)
+    sums = np.zeros(keys.size, dtype=np.uint64)
+    np.add.at(sums, where.reshape(-1), values)
+    return keys, sums
 
 
 def _swap_fixes(monomials: np.ndarray, coef_id: np.ndarray, i: int, j: int) -> bool:
@@ -808,72 +876,120 @@ def lagrangian_of_hypergraph(G: Hypergraph, cfg: OptimizerConfig | None = None) 
 GRID_CHUNK = 4096
 
 
-def _grid_chunks(d: int, m: int, lead: tuple[int, ...] = ()) -> Iterator[np.ndarray]:
-    """Every composition of d into m nonnegative parts, as int64 arrays of
-    1 to GRID_CHUNK rows, in lexicographic order, each row prefixed by the
-    fixed parts ``lead``.
+def _grid_chunks(d: int, rest: tuple[int, ...]) -> Iterator[np.ndarray]:
+    """One composition of d per orbit of the twin-class permutations, as
+    int64 arrays of 1 to GRID_CHUNK rows, in lexicographic order.
 
-    Stars and bars by leading part: leading part k leaves C(d-k+m-2, m-2)
-    completions.  Consecutive leading parts whose completions fit in one
-    chunk together are expanded in one ``_grid_block``; a leading part with
-    more completions than a chunk holds moves into ``lead`` and the
-    (d - k, m - 1) grid is chunked the same way.
+    Column p stands for an index whose twin class has ``rest[p]`` more
+    members in the next columns.  Within a class the parts do not decrease:
+    a column's part is at least the previous member's, and at most
+    1/(rest[p] + 1) of what is left, so that the later members can still
+    reach it.  Such a composition is the one sorted point of its orbit.
+    With only singleton classes (``rest`` all 0) the rules are vacuous and
+    every composition comes out.
+
+    Stars and bars by leading part: a leading part with more completions
+    than a chunk holds is fixed, and the rest of the grid is chunked the
+    same way; consecutive leading parts whose completions fit in one chunk
+    together are expanded in one ``_grid_block``.
     """
-    if m == 1:
-        yield np.array([[*lead, d]], dtype=np.int64)
-        return
-    left = np.arange(d, -1, -1, dtype=np.int64)  # d - k for leading part k
-    # Completions C(left + j, j) built up over j, capped at GRID_CHUNK + 1:
-    # each step is exact on an exact count and keeps a capped one capped.
-    tails = np.ones(d + 1, dtype=np.int64)
-    for j in range(1, m - 1):
-        tails = np.minimum(tails * (left + j) // j, GRID_CHUNK + 1)
-    ends = np.cumsum(tails)
-    k = 0
-    while k <= d:
-        if tails[k] > GRID_CHUNK:
-            yield from _grid_chunks(d - k, m - 1, (*lead, k))
-            k += 1
-        else:
-            stop = int(np.searchsorted(ends, ends[k] - tails[k] + GRID_CHUNK, side="right"))
-            yield _grid_block(lead, d, left[k:stop], m)
-            k = stop
+    completions = _completions(d, rest)
+
+    def chunks(d: int, lead: tuple[int, ...]) -> Iterator[np.ndarray]:
+        p = len(lead)
+        if p == len(rest) - 1:
+            yield np.array([[*lead, d]], dtype=np.int64)
+            return
+        low = lead[-1] if p and rest[p - 1] else 0
+        first = np.arange(low, d // (rest[p] + 1) + 1, dtype=np.int64)
+        left = d - first
+        # Taking first off each later member of its class leaves left - rest[p] * first.
+        tails = completions[p][left - rest[p] * first]
+        ends = np.cumsum(tails)
+        k = 0
+        while k < len(first):
+            if tails[k] > GRID_CHUNK:
+                yield from chunks(int(left[k]), (*lead, int(first[k])))
+                k += 1
+            else:
+                stop = int(np.searchsorted(ends, ends[k] - tails[k] + GRID_CHUNK, side="right"))
+                yield _grid_block(lead, d, left[k:stop], rest)
+                k = stop
+
+    return chunks(d, ())
 
 
-def _grid_block(lead: tuple[int, ...], d: int, left: np.ndarray, m: int) -> np.ndarray:
-    """The compositions of d into m parts whose leading parts leave
+def _completions(d: int, rest: tuple[int, ...]) -> list[np.ndarray]:
+    """For each column p but the last and t = 0..d, the number of ways to
+    fill the columns after p with total t once column p's part is taken off
+    each later member of its class, capped at GRID_CHUNK + 1.
+
+    These are the coefficients of prod_q 1/(1 - x^w_q) over the columns q
+    from p on, but the last: w_q is rest[q] when q's class goes on past it,
+    else the size of the class that starts at q + 1.  Dividing by 1 - x^w
+    is a running sum along each residue class mod w; each step is exact on
+    an exact count and keeps a capped one capped.
+    """
+    counts = np.zeros(d + 1, dtype=np.int64)
+    counts[0] = 1
+    table = []
+    for q in range(len(rest) - 2, -1, -1):
+        w = rest[q] or rest[q + 1] + 1
+        pad = -(d + 1) % w
+        padded = np.concatenate([counts, np.zeros(pad, dtype=np.int64)]) if pad else counts
+        counts = np.minimum(padded.reshape(-1, w).cumsum(axis=0).reshape(-1)[:d + 1],
+                            GRID_CHUNK + 1)
+        table.append(counts)
+    return table[::-1]
+
+
+def _grid_block(lead: tuple[int, ...], d: int, left: np.ndarray, rest: tuple[int, ...]) -> np.ndarray:
+    """The compositions of ``_grid_chunks`` whose leading parts leave
     ``left``, in lexicographic order and prefixed by ``lead``.
 
-    Each column is one ``np.repeat``: a row with s still to place gets
-    s + 1 children, one per next part 0..s.  The columns are then gathered
-    into the chunk from the last back through the chain of parents.
+    Each column is one ``np.repeat``: a row with s still to place gets one
+    child per next part from its lower bound (the previous part within a
+    class, else 0) to s // (rest + 1).  The columns are then gathered into
+    the chunk from the last back through the chain of parents.
     """
+    p, m = len(lead), len(rest)
     parents, parts = [], [d - left]
-    for _ in range(m - 2):
-        counts = left + 1
+    for q in range(p + 1, m - 1):
+        low = parts[-1] if rest[q - 1] else 0
+        high = left // (rest[q] + 1) if rest[q] else left
+        counts = high + (1 - low)
         parent = np.repeat(np.arange(len(left)), counts)
         part = np.arange(len(parent)) - (np.cumsum(counts) - counts)[parent]
+        if rest[q - 1]:
+            part += low[parent]
         parents.append(parent)
         parts.append(part)
         left = left[parent] - part
-    K = np.empty((len(left), len(lead) + m), dtype=np.int64)
-    K[:, :len(lead)] = lead
+    K = np.empty((len(left), m), dtype=np.int64)
+    K[:, :p] = lead
     K[:, -1] = left
     row = slice(None)
-    for col in range(m - 2, -1, -1):
-        K[:, len(lead) + col] = parts[col][row]
-        if col:
-            row = parents[col - 1][row]
+    for col in range(m - 2, p - 1, -1):
+        K[:, col] = parts[col - p][row]
+        if col > p:
+            row = parents[col - p - 1][row]
     return K
 
 
 def grid_oracle(P: Pattern, d: int) -> Fraction:
     """Exact maximum of the density polynomial over denominator-d grid points.
 
-    Enumerates every simplex point with coordinates k_i/d in exact integer
+    Takes every simplex point with coordinates k_i/d in exact integer
     arithmetic, so the returned Fraction is an unarguable lower bound on the
     Lagrangian, converging to it as d grows.  Raises CapExceeded when the
     C(d+m-1, m-1) grid is larger than GRID_CAP.
+
+    The polynomial does not change when twin indices are permuted (see
+    _Poly.twins), and neither does the grid, so one point per orbit is
+    enough: the point whose parts do not increase along each twin class
+    (see _grid_chunks).  The classes are laid out in contiguous columns,
+    each in reverse, and the value kernel reads each index from its column
+    through a relabelled slot table.
 
     At k the scaled value d^r * lam(k/d) is sum_e mc_e * prod_i k_i^mult_i,
     whose terms are distinct terms of the multinomial expansion of
@@ -895,9 +1011,13 @@ def grid_oracle(P: Pattern, d: int) -> Fraction:
     # A coefficient can pass 2^63 when d^r does not (d = 1 and an edge of 21
     # distinct indices), though its products are then all 0.
     dtype = np.int64 if max([scale, *poly.num]) < 2**63 else object
+    layout = [i for members in poly.twins for i in reversed(members)]
+    rest = tuple(c for members in poly.twins for c in range(len(members) - 1, -1, -1))
+    # The same polynomial, reading index i from column layout.index(i).
+    columns = _Poly(np.argsort(layout)[poly.slots], poly.num, poly.den, poly.m)
     best = 0
-    for K in _grid_chunks(d, P.m):
-        best = max(best, int(_value_rows(poly, K.astype(dtype, copy=False)).max()))
+    for K in _grid_chunks(d, rest):
+        best = max(best, int(_value_rows(columns, K.astype(dtype, copy=False)).max()))
     return Fraction(best, scale)
 
 

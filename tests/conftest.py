@@ -117,6 +117,40 @@ def reference_grid_chunks(d, m, chunk):
                       prepend=-1, append=d + m - 1) - 1
 
 
+def reference_check_edges(values, lengths, r, size, multisets):
+    """The edge checker with no already-canonical test, kept as the oracle
+    for patterns._check_edges: every valid edge array goes through one
+    stable np.lexsort of its sorted edges, a gather and the duplicate
+    bookkeeping.  Returns (rows or None, faults) as the checker does."""
+    count = len(lengths)
+    shape = lengths != r
+    if shape.any():
+        width = max(int(lengths.max()), 1)
+        pads = np.arange(width, dtype=object) + int(values.max(initial=0)) + 1
+        block = np.tile(pads, (count, 1))
+        block[np.arange(width) < lengths[:, None]] = values
+    else:
+        block = values.reshape(count, r if count else 1)
+    block = np.sort(block, axis=1)
+    low = block[:, 0] < 1
+    high = block[:, min(r, block.shape[1]) - 1] > size
+    if not multisets:
+        shape = shape | (block[:, 1:] == block[:, :-1]).any(axis=1)
+    bad = shape | low | high
+    valid = not bad.any()
+    if valid:
+        block = block.astype(np.min_scalar_type(size), copy=False)
+    order = np.lexsort(block.T[::-1])
+    block = block[order]
+    same = np.zeros(count, dtype=bool)
+    same[1:] = (block[1:] == block[:-1]).all(axis=1)
+    first = np.full(count, -1)
+    if same.any():
+        head = np.maximum.accumulate(np.where(same, 0, np.arange(count)))
+        first[order[same]] = order[head[same]]
+    return block[~same] if valid else None, (shape, low, high, bad, first)
+
+
 def reference_twin_pairs(slots, coef, m):
     """Brute-force twin relation, kept as the oracle for _Poly.twins.
 

@@ -224,6 +224,17 @@ def test_every_blowup_entry_point_checks_sizes_alike():
                 call(P, sizes)
 
 
+@pytest.mark.parametrize("call", [pl.blowup, pl.blowup_edge_count, pl.blowup_density,
+                                  lambda P, sizes: Partition.from_sizes(sizes)])
+def test_fractional_sizes_are_rejected(p112, call):
+    # int() would truncate (2.5, 1.9) to the (2, 1) blowup.
+    for sizes, message in (((2.5, 1.9), "class sizes must be integers, got 2.5"),
+                           ((3, 1.5), "class sizes must be integers, got 1.5")):
+        with pytest.raises(ValueError, match=message):
+            call(p112, sizes)
+    assert call(p112, (2.0, 1.0)) == call(p112, (2, 1))
+
+
 def test_nested_blowup_is_subgraph(p112, rng):
     # part-wise vertex injection embeds the smaller blowup in the larger
     small_sizes, large_sizes = (2, 1), (3, 3)

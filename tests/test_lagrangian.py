@@ -76,6 +76,10 @@ def test_simplex_point_validation():
     for m in (0, -1):
         with pytest.raises(ValueError, match="nonempty 1-D"):
             SimplexPoint.uniform(m)
+    # int() would truncate 2.5 to the 2-point barycenter.
+    with pytest.raises(ValueError, match="m must be an integer, got 2.5"):
+        SimplexPoint.uniform(2.5)
+    assert SimplexPoint.uniform(3.0) == SimplexPoint.uniform(3)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -489,13 +493,13 @@ def test_grid_oracle_chunk_boundaries():
         for P in (top, Pattern(2, 3, [[1, 1, 2]]), Pattern(2, 4, [[1, 2, 2, 2], [1, 1, 1, 1]])):
             assert pl.grid_oracle(P, d) == reference_grid_oracle(P, d)
         assert pl.grid_oracle(top, d) == 1
-    chunks = list(lagrangian._grid_chunks(lagrangian.GRID_CHUNK, 2))
+    chunks = list(lagrangian._grid_chunks(lagrangian.GRID_CHUNK, (0, 0)))
     assert [len(K) for K in chunks] == [lagrangian.GRID_CHUNK, 1]
     assert chunks[1].tolist() == [[lagrangian.GRID_CHUNK, 0]]
 
 
 def assert_grid_chunks_match_reference(d, m):
-    chunks = list(lagrangian._grid_chunks(d, m))
+    chunks = list(lagrangian._grid_chunks(d, (0,) * m))
     want = np.concatenate(list(reference_grid_chunks(d, m, lagrangian.GRID_CHUNK)))
     got = np.concatenate(chunks)
     assert all(K.dtype == np.int64 for K in chunks)
@@ -528,6 +532,81 @@ def test_grid_chunks_edge_shapes(d, m):
     assert_grid_chunks_match_reference(d, m)
 
 
+@st.composite
+def orbit_grid_shapes(draw):
+    """Twin class sizes in layout order and a denominator, the full grid
+    kept small enough for the itertools reference."""
+    sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=4))
+    m = sum(sizes)
+    top = 40
+    while math.comb(top + m - 1, m - 1) > GRID_POINTS_CAP:
+        top -= 1
+    return sizes, draw(st.integers(0, top))
+
+
+@settings(max_examples=120)
+@given(orbit_grid_shapes())
+def test_grid_chunks_give_one_sorted_point_per_orbit(shape):
+    # Every composition whose parts do not decrease along each class of
+    # columns is the one such point of its orbit; the chunks hold exactly
+    # those, in lexicographic order.
+    sizes, d = shape
+    m = sum(sizes)
+    rest = tuple(c for size in sizes for c in range(size - 1, -1, -1))
+    every = np.concatenate(list(reference_grid_chunks(d, m, lagrangian.GRID_CHUNK)))
+    starts = np.cumsum([0, *sizes])
+    keep = np.ones(len(every), dtype=bool)
+    for a, b in zip(starts[:-1], starts[1:]):
+        keep &= (np.diff(every[:, a:b], axis=1) >= 0).all(axis=1)
+    chunks = list(lagrangian._grid_chunks(d, rest))
+    assert all(K.dtype == np.int64 and 1 <= len(K) <= lagrangian.GRID_CHUNK for K in chunks)
+    assert np.array_equal(np.concatenate(chunks), every[keep])
+
+
+@st.composite
+def twin_grid_cases(draw):
+    """A pattern with m <= 6, r <= 4 and any edges, or the pattern of a
+    blowup of a smaller one, whose vertex classes are twins; and d <= 12."""
+    r = draw(st.integers(2, 4))
+    if draw(st.booleans()):
+        m = draw(st.integers(1, 6))
+        universe = list(itertools.combinations_with_replacement(range(1, m + 1), r))
+        P = Pattern(m, r, draw(st.lists(st.sampled_from(universe), unique=True,
+                                         max_size=len(universe))))
+    else:
+        m = draw(st.integers(1, 3))
+        universe = list(itertools.combinations_with_replacement(range(1, m + 1), r))
+        base = Pattern(m, r, draw(st.lists(st.sampled_from(universe), unique=True,
+                                            min_size=1, max_size=len(universe))))
+        sizes = draw(st.lists(st.integers(1, 3), min_size=m, max_size=m)
+                     .filter(lambda s: r <= sum(s) <= 6))
+        P = pl.pattern_of_hypergraph(pl.blowup(base, sizes)[0])
+    return P, draw(st.integers(1, 12))
+
+
+@settings(max_examples=100)
+@given(twin_grid_cases())
+def test_grid_oracle_orbit_points_match_reference(case):
+    P, d = case
+    got = pl.grid_oracle(P, d)
+    assert got == reference_grid_oracle(P, d)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(lagrangian._Poly, "twins",
+                      property(lambda poly: tuple((i,) for i in range(poly.m))))
+        assert pl.grid_oracle(P, d) == got
+
+
+def test_grid_oracle_evaluates_one_point_per_orbit(monkeypatch):
+    # complete(6, 3) is one twin class, so its orbits on the d = 24 grid are
+    # the 532 partitions of 24 into at most 6 parts, against C(29, 5) =
+    # 118,755 grid points.
+    rows = []
+    real = lagrangian._value_rows
+    monkeypatch.setattr(lagrangian, "_value_rows", lambda poly, X: rows.append(len(X)) or real(poly, X))
+    assert pl.grid_oracle(pl.complete_pattern(6, 3), 24) == Fraction(20 * 6, 6**3)
+    assert sum(rows) == 532
+
+
 def test_grid_oracle_object_dtype_path():
     # 2000^6 >= 2^63, so the pass runs on Python integers.
     P = pl.offdiagonal_pattern(2, 6)
@@ -543,7 +622,7 @@ def test_grid_oracle_single_index_and_empty_match_reference():
         for P in (Pattern(1, 3, [[1, 1, 1]]), Pattern(1, 4, []), Pattern(3, 3, []),
                   Pattern(4, 2, [])):
             assert pl.grid_oracle(P, d) == reference_grid_oracle(P, d)
-    assert list(lagrangian._grid_chunks(5, 1))[0].tolist() == [[5]]
+    assert list(lagrangian._grid_chunks(5, (0,)))[0].tolist() == [[5]]
 
 
 def test_grid_oracle_checks_run_before_enumeration(monkeypatch, p112):

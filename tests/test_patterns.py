@@ -12,7 +12,7 @@ from patternlab import Hypergraph, Multiset, Pattern, patterns
 from patternlab.errors import FormatError
 from patternlab.lagrangian import _polynomial
 
-from conftest import (all_multisets, reference_pattern,
+from conftest import (all_multisets, reference_check_edges, reference_pattern,
                       reference_validate_hypergraph_document,
                       reference_validate_pattern_document)
 
@@ -646,6 +646,78 @@ def test_constructor_and_document_check_agree(case):
         assert isinstance(built, tuple) == bool(hard)
         if isinstance(built, tuple):
             assert built[0] is ValueError
+
+
+def _assert_check_matches_full_path(values, lengths, r, size):
+    # With CANONICAL_TEST_ROWS at 1, every nonempty array is tested for
+    # already being canonical.
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(patterns, "CANONICAL_TEST_ROWS", 1)
+        for multisets in (True, False):
+            _assert_same_check(values, lengths, r, size, multisets)
+
+
+def _assert_same_check(values, lengths, r, size, multisets):
+    rows, faults = patterns._check_edges(values, lengths, r, size, multisets)
+    want_rows, want_faults = reference_check_edges(values, lengths, r, size, multisets)
+    assert (rows is None) == (want_rows is None)
+    if rows is not None:
+        assert rows.dtype == want_rows.dtype and np.array_equal(rows, want_rows)
+    assert len(faults) == len(want_faults)
+    for got, want in zip(faults, want_faults):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+@settings(max_examples=300)
+@given(integer_edge_lists(), st.data())
+def test_check_edges_matches_the_full_path(case, data):
+    # Drawn edges come shuffled, duplicated, misshapen and out of range; the
+    # same edges made canonical (each sorted, distinct, in lexicographic
+    # order) are checked too, as a list and as an array.
+    r, size, edges = case
+    _assert_check_matches_full_path(*patterns._read_edges(edges)[:2], r, size)
+    canonical = sorted({tuple(sorted(e)) for e in edges if len(e) == r})
+    if canonical:
+        cut = data.draw(st.integers(0, len(canonical)))
+        for form in (canonical, canonical[:cut] + canonical[:cut][-1:] + canonical[cut:],
+                     canonical[::-1]):
+            _assert_check_matches_full_path(*patterns._read_edges(form)[:2], r, size)
+        if size < 2**63:
+            array = np.array(canonical, dtype=np.int64)
+            _assert_check_matches_full_path(*patterns._read_edges(array)[:2], r, size)
+
+
+def test_canonical_edge_arrays_skip_the_sort(monkeypatch):
+    K = pl.complete_pattern(4, 4)
+    sorts = []
+    real = np.lexsort
+    monkeypatch.setattr(np, "lexsort", lambda keys: sorts.append(1) or real(keys))
+    # One edge: the blowup's 1296 rows come out canonical, and so do its
+    # pattern's and the documents written from them.
+    G, _ = pl.blowup(K, [6] * 4)
+    assert G.edge_count == 6**4 >= patterns.CANONICAL_TEST_ROWS
+    P = pl.pattern_of_hypergraph(G)
+    assert pl.pattern_from_json(pl.pattern_to_json(P)) == P
+    assert pl.hypergraph_from_json(pl.hypergraph_to_json(G)) == G
+    assert sorts == []
+    # Below CANONICAL_TEST_ROWS rows the sort runs, canonical or not.
+    small = pl.random_pattern(np.random.default_rng(0), 5, 3)
+    assert Pattern(5, 3, small.rows) == small and len(sorts) == 2
+    sorts.clear()
+    monkeypatch.setattr(patterns, "CANONICAL_TEST_ROWS", 1)
+    assert pl.random_pattern(np.random.default_rng(0), 5, 3) == Pattern(5, 3, small.rows[::-1])
+    assert len(sorts) == 1  # only the reversed rows were sorted
+    # Past np.intp, a row is no single base-(m + 1) number: the full path runs.
+    wide = Pattern(21, 21, [list(range(1, 22))])
+    assert wide.rows.tolist() == [list(range(1, 22))] and len(sorts) == 2
+
+
+def test_array_edge_lengths_take_no_memory():
+    edges = np.arange(1, 1 + 3 * 1000, dtype=np.int64).reshape(-1, 3)
+    values, lengths, stop = patterns._read_edges(edges)
+    assert stop is None and np.shares_memory(values, edges)
+    assert lengths.strides == (0,) and lengths.shape == (1000,) and lengths.dtype == np.intp
+    assert (lengths == 3).all()
 
 
 def test_load_rejects_indices_past_intp(tmp_path):
