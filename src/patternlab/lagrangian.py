@@ -72,7 +72,6 @@ SUPPORT_THRESHOLD = 1e-7  # argmax coordinates above this form the reported supp
 KKT_POLISH_STEPS = 25  # max Newton steps per support face in _kkt_polish_rows
 GRID_CAP = 1_000_000  # max C(d+m-1, m-1) grid points enumerated by grid_oracle
 CHAMBER_CAP = 2**18  # max m**r coefficients of the certificate; past it there is none
-TWIN_BLOCK = 2**16  # slot pairs hashed at a time by the twin scan
 MINIMALITY_MARGIN = 1e-9  # least value drop, per removed index, of a minimal pattern
 
 
@@ -316,97 +315,32 @@ def _twin_classes(monomials: np.ndarray, summed: np.ndarray,
 
     Twins share a signature: for each multiplicity and each coefficient,
     the number of monomials in which the index has that multiplicity and
-    that coefficient.  Within a signature group each index is tested with
-    _swap_fixes, the deciding test, against the first member of every class
-    found so far; one test per class is enough, as twinship is an
-    equivalence relation.  Once a group holds two classes, the candidate
-    heads are narrowed first by _twin_hash, so that indices alike in every
-    signature but twin to none (a vertex-transitive graph) need no test.
+    that coefficient.  Within a signature group each index is tested against
+    the first member of every class found so far; one test per class is
+    enough, as twinship is an equivalence relation.
     """
     r, U = monomials.shape
     coefs, coef_id = np.unique(summed, return_inverse=True)
     kinds = max(1, coefs.size)
     # Multiplicity of an index in a sorted column: its run length, read at
     # the run's last slot.
-    run = _run_lengths(monomials)
     ends = np.ones((r, U), dtype=bool)
     ends[:-1] = monomials[1:] != monomials[:-1]
-    cell = (monomials * r + run - 1) * kinds + coef_id
+    cell = (monomials * r + _run_lengths(monomials) - 1) * kinds + coef_id
     signature = np.bincount(cell[ends], minlength=m * r * kinds).reshape(m, r * kinds)
-    keys = np.unique(signature, axis=0, return_inverse=True)[1].reshape(-1).tolist()
+    group = np.unique(signature, axis=0, return_inverse=True)[1].reshape(-1)
 
-    heads: dict = {}  # the first member of each class found so far, by key
+    heads: dict[int, list[int]] = {}
     classes: dict[int, list[int]] = {}
-    shared: dict[int, list[int]] = {}
-    hashed = False
-    for j in range(m):
-        candidates = heads.get(keys[j], []) + [h for h in shared.get(j, ()) if h in classes]
-        head = next((h for h in candidates if _swap_fixes(monomials, coef_id, h, j)), None)
-        if head is not None:
-            classes[head].append(j)
-            continue
-        if candidates and not hashed:
-            keys, shared = _twin_hash(monomials, coef_id, run, ends, keys, kinds)
-            heads, hashed = {}, True
-            for h in classes:
-                heads.setdefault(keys[h], []).append(h)
-        heads.setdefault(keys[j], []).append(j)
-        classes[j] = [j]
+    for i in range(m):
+        candidates = heads.setdefault(int(group[i]), [])
+        head = next((h for h in candidates if _swap_fixes(monomials, coef_id, h, i)), None)
+        if head is None:
+            candidates.append(i)
+            classes[i] = [i]
+        else:
+            classes[head].append(i)
     return tuple(tuple(c) for c in classes.values())
-
-
-def _twin_hash(monomials: np.ndarray, coef_id: np.ndarray, run: np.ndarray, ends: np.ndarray,
-               group: list[int], kinds: int) -> tuple[list, dict[int, list[int]]]:
-    """Keys that twins share, and for each index j the smaller indices that
-    share a monomial with j and pass the same test.
-
-    Twins i and j also share their co-occurrence rows outside the pair:
-    for every other index k, the multiset of (multiplicity of the index,
-    multiplicity of k, coefficient) over the monomials holding both.  Row
-    i of the co-occurrence matrix C holds, at column k, the sum of a random
-    salt per such triple; its hash, in wrapping uint64 arithmetic, is
-    row_i = sum_k C[i, k] z_k.  For twins, C[i, j] = C[j, i] and
-    row_i - C[i, j] z_j = row_j - C[j, i] z_i.  Pairs that share no
-    monomial have C[i, j] = 0, so twins among them have equal keys (group,
-    row); pairs of one group that share one are tested with C, kept only
-    within groups.  The slot pairs are read TWIN_BLOCK at a time.
-    """
-    r, U = monomials.shape
-    m = len(group)
-    group = np.array(group)
-    rng = np.random.default_rng(0)
-    salt = rng.integers(0, 2**64, size=r * r * kinds, dtype=np.uint64)
-    z = rng.integers(0, 2**64, size=m, dtype=np.uint64)
-    first, second = np.nonzero(~np.eye(r, dtype=bool))  # ordered pairs of slots
-    row = np.zeros(m, dtype=np.uint64)
-    keys, C = np.empty(0, dtype=np.intp), np.empty(0, dtype=np.uint64)
-    step = max(1, TWIN_BLOCK // first.size)
-    for start in range(0, U, step):
-        # Run ends of one column hold distinct indices i and k.
-        pair, col = np.nonzero(ends[first, start:start + step] & ends[second, start:start + step])
-        s, t, col = first[pair], second[pair], col + start
-        i, k = monomials[s, col], monomials[t, col]
-        salted = salt[((run[s, col] - 1) * r + run[t, col] - 1) * kinds + coef_id[col]]
-        np.add.at(row, i, salted * z[k])
-        near = group[i] == group[k]
-        keys, C = _summed(np.concatenate([keys, i[near] * m + k[near]]),
-                          np.concatenate([C, salted[near]]))
-    a, b = np.divmod(keys, m)
-    back = C[np.searchsorted(keys, b * m + a)]  # C[k, i], present as sharing is symmetric
-    fits = (a < b) & (C == back) & (row[a] - C * z[b] == row[b] - back * z[a])
-    shared: dict[int, list[int]] = {}
-    for low, high in zip(a[fits].tolist(), b[fits].tolist()):
-        shared.setdefault(high, []).append(low)
-    return list(zip(group.tolist(), row.tolist())), shared
-
-
-def _summed(keys: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct keys, sorted, and the wrapping uint64 sum of the values
-    of each."""
-    keys, where = np.unique(keys, return_inverse=True)
-    sums = np.zeros(keys.size, dtype=np.uint64)
-    np.add.at(sums, where.reshape(-1), values)
-    return keys, sums
 
 
 def _swap_fixes(monomials: np.ndarray, coef_id: np.ndarray, i: int, j: int) -> bool:

@@ -459,16 +459,6 @@ def test_twin_classes_match_the_swap_oracle(P, data):
 
 @KERNEL_SETTINGS
 @given(patterns(), st.data())
-def test_twin_classes_do_not_depend_on_the_hash_block(P, data):
-    poly = _drawn_polynomial(P, data)
-    monomials, summed = poly.merged
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(lagrangian, "TWIN_BLOCK", 1)  # one monomial per block
-        assert lagrangian._twin_classes(monomials, summed, P.m) == poly.twins
-
-
-@KERNEL_SETTINGS
-@given(patterns(), st.data())
 def test_twin_classes_follow_relabelling(P, data):
     perm = data.draw(st.permutations(range(1, P.m + 1)))
     moved = {frozenset(perm[i] - 1 for i in members) for members in _polynomial(P).twins}
@@ -487,35 +477,6 @@ def test_planted_twins_are_found(P, data):
     twins = _polynomial(pl.pattern_of_hypergraph(G)).twins
     for block in part.parts:
         assert any({v - 1 for v in block} <= set(members) for members in twins)
-
-
-def test_twin_scan_swap_tests_only_candidate_pairs(monkeypatch):
-    _polynomial.cache_clear()
-    calls = []
-    real = lagrangian._swap_fixes
-    monkeypatch.setattr(lagrangian, "_swap_fixes",
-                        lambda monomials, coef_id, i, j: calls.append((i, j)) or real(
-                            monomials, coef_id, i, j))
-    # Every index of a cycle has one signature, and none are twins: a scan
-    # that tests each index against every earlier class makes 780 tests.
-    # The first test finds a second class, and the hash rules out the rest.
-    n = 40
-    cycle = pl.pattern_of_hypergraph(pl.Hypergraph(n, 2, [(i, i % n + 1) for i in range(1, n + 1)]))
-    assert _polynomial(cycle).twins == tuple((i,) for i in range(n))
-    assert calls == [(0, 1)]
-    # One class per group needs no hash: one test per index, as before.
-    calls.clear()
-    assert _polynomial(pl.complete_pattern(8, 3)).twins == (tuple(range(8)),)
-    assert calls == [(0, j) for j in range(1, 8)]
-    # Twins stay candidates under the hash whether they share a monomial
-    # (two triangles) or not (two cherries' leaves).  The one failed test
-    # finds the second triangle; the earlier scan made 16 tests.
-    calls.clear()
-    G = pl.Hypergraph(12, 2, [(1, 2), (1, 3), (2, 3), (4, 5), (4, 6), (5, 6),
-                              (7, 9), (8, 9), (10, 12), (11, 12)])
-    assert _polynomial(pl.pattern_of_hypergraph(G)).twins == (
-        (0, 1, 2), (3, 4, 5), (6, 7), (8,), (9, 10), (11,))
-    assert calls == [(0, 1), (0, 2), (0, 3), (3, 4), (3, 5), (6, 7), (9, 10)]
 
 
 @pytest.mark.parametrize("m, r", [(2, 2), (3, 3), (5, 2), (6, 3), (4, 4), (12, 3)])
