@@ -69,7 +69,7 @@ SIMPLEX_SUM_TOL = 1e-12
 ARMIJO_INCREASE = 1e-2
 
 SUPPORT_THRESHOLD = 1e-7  # argmax coordinates above this form the reported support
-KKT_POLISH_STEPS = 25  # max Newton steps per support face in _kkt_polish_rows
+KKT_POLISH_STEPS = 25  # max Newton steps of each row in _kkt_polish_rows
 GRID_CAP = 1_000_000  # max C(d+m-1, m-1) grid points enumerated by grid_oracle
 CHAMBER_CAP = 2**18  # max m**r coefficients of the certificate; past it there is none
 MINIMALITY_MARGIN = 1e-9  # least value drop, per removed index, of a minimal pattern
@@ -193,10 +193,12 @@ class _Poly:
     of the point matrix.  For S points the value costs O(S*E*r), whatever m
     is; the gradient adds an (S x r*E) by (r*E x m) matmul against the
     scatter matrix held here, and the Hessians are S x m x m.
-    The value, gradient and Hessian kernels take block rows at a time, so
-    each S x E temporary stays cache-sized (256 KB) however many points are
-    passed; a single point is one block.  The derived tables (scatter,
-    merged, twins, certificate) are built on first use and kept.
+    The value and gradient kernels take block rows at a time, so each
+    S x E temporary stays cache-sized (256 KB) however many points are
+    passed; the Hessian kernel's blocks are r(r-1) times shorter, as it
+    holds that many such arrays.  A single point is one block.  The derived
+    tables (scatter, merged, twins, certificate) are built on first use and
+    kept.
 
     num holds Python integers (object dtype) over one positive int den; a
     pattern has den = 1 and num[e] = r!/prod(mult!).  The float kernels read
@@ -426,19 +428,21 @@ def _as_weights(m: int, x) -> np.ndarray:
     return w
 
 
-def _row_blocks(kernel):
-    """Run kernel(poly, X) on blocks of at most poly.block rows of X and
+def _row_blocks(rows=lambda poly: poly.block):
+    """Run kernel(poly, X) on blocks of at most rows(poly) rows of X and
     stack the results."""
-    @wraps(kernel)
-    def blocked(poly: _Poly, X: np.ndarray) -> np.ndarray:
-        if X.shape[0] <= poly.block:
-            return kernel(poly, X)
-        return np.concatenate([kernel(poly, X[i:i + poly.block])
-                               for i in range(0, X.shape[0], poly.block)])
-    return blocked
+    def wrap(kernel):
+        @wraps(kernel)
+        def blocked(poly: _Poly, X: np.ndarray) -> np.ndarray:
+            n = rows(poly)
+            if X.shape[0] <= n:
+                return kernel(poly, X)
+            return np.concatenate([kernel(poly, X[i:i + n]) for i in range(0, X.shape[0], n)])
+        return blocked
+    return wrap
 
 
-@_row_blocks
+@_row_blocks()
 def _value_rows(poly: _Poly, X: np.ndarray) -> np.ndarray:
     slots = poly.slots
     terms = X[:, slots[0]]
@@ -448,7 +452,7 @@ def _value_rows(poly: _Poly, X: np.ndarray) -> np.ndarray:
     return terms @ (poly.coef if X.dtype.kind == "f" else poly.num.astype(X.dtype))
 
 
-@_row_blocks
+@_row_blocks()
 def _grad_rows(poly: _Poly, X: np.ndarray) -> np.ndarray:
     """Row gradients: the derivative of a term along slot j is the product of
     its other r-1 slots, scattered onto column slots[j, e]."""
@@ -538,7 +542,9 @@ def _kkt_rows(X: np.ndarray, G: np.ndarray, mu: np.ndarray) -> np.ndarray:
     return np.maximum(r_eq, r_in)
 
 
-@_row_blocks
+# The cell and weight arrays are r(r-1) S x E arrays, so a block is that
+# many times shorter than the value and gradient kernels'.
+@_row_blocks(lambda poly: max(1, poly.block // (poly.r * (poly.r - 1))))
 def _hessian_rows(poly: _Poly, X: np.ndarray) -> np.ndarray:
     """S x m x m Hessians: each ordered slot pair (j, k), j != k, of a term
     adds coef times the product of its other r-2 slots to H[slots[j], slots[k]];
@@ -567,46 +573,51 @@ def _kkt_polish_rows(poly: _Poly, X: np.ndarray) -> np.ndarray:
     steps takes the residual to machine precision.  When the maximizers form
     a face (a blowup's optimum can spread over a class in many ways), the
     Newton matrix is singular, so the step is the minimum-norm least-squares
-    solution, pinv(J) @ rhs with lstsq's default cutoff.  Rows on one face
-    share a batched solve per step, but the guards act per row: a row whose
-    step leaves the face, blows up, or is large stops at its last point.
+    solution, pinv(J) @ rhs with lstsq's default cutoff.  All rows step
+    together: one gradient and one Hessian call per step, then one batched
+    solve per support size, whatever the faces.  The guards act per row: a
+    row whose step leaves its face, blows up, or is large stops at its last
+    point, and a solve that fails stops the rows of its size.
     """
     X = X.copy()
-    faces, face_of = np.unique(X > 1e-12, axis=0, return_inverse=True)
-    for face, on_face in enumerate(faces):
-        s = np.nonzero(on_face)[0]
-        k = s.size
-        if k == 0:
-            continue
-        rows = np.nonzero(face_of == face)[0]
-        for _ in range(KKT_POLISH_STEPS):
-            x = X[rows]
-            g = _grad_rows(poly, x)
-            mu = (x * g).sum(axis=1)
-            res = g[:, s] - mu[:, None]
-            live = np.abs(res).max(axis=1) > 1e-14 * np.maximum(1.0, np.abs(mu))
-            rows, x, res = rows[live], x[live], res[live]
-            if rows.size == 0:
-                break
-            J = np.zeros((rows.size, k + 1, k + 1))
-            J[:, :k, :k] = _hessian_rows(poly, x)[:, s[:, None], s]
+    on = X > 1e-12
+    size = on.sum(axis=1)
+    rows = np.nonzero(size)[0]
+    for _ in range(KKT_POLISH_STEPS):
+        x = X[rows]
+        g = _grad_rows(poly, x)
+        mu = (x * g).sum(axis=1)
+        res = np.where(on[rows], g - mu[:, None], 0.0)
+        live = np.abs(res).max(axis=1) > 1e-14 * np.maximum(1.0, np.abs(mu))
+        rows, x, res = rows[live], x[live], res[live]
+        if rows.size == 0:
+            break
+        H = _hessian_rows(poly, x)
+        sizes = size[rows]
+        ok = np.zeros(rows.size, dtype=bool)
+        for k in np.unique(sizes):
+            group = np.nonzero(sizes == k)[0]
+            s = np.nonzero(on[rows[group]])[1].reshape(-1, k)
+            J = np.zeros((group.size, k + 1, k + 1))
+            J[:, :k, :k] = H[group[:, None, None], s[:, :, None], s[:, None, :]]
             J[:, :k, k] = -1.0
             J[:, k, :k] = 1.0
-            rhs = np.zeros((rows.size, k + 1, 1))
-            rhs[:, :k, 0] = -res
+            rhs = np.zeros((group.size, k + 1, 1))
+            rhs[:, :k, 0] = -np.take_along_axis(res[group], s, axis=1)
             try:
                 dx = (np.linalg.pinv(J) @ rhs)[:, :k, 0]
             except np.linalg.LinAlgError:
-                break
+                continue
             # The last row of J asks sum(dx) = 0.  At condition numbers near
             # 1/eps, pinv can miss it by 1e-7; removing the mean keeps the
             # point on the simplex.
             dx -= dx.mean(axis=1, keepdims=True)
-            trial = x[:, s] + dx
-            ok = (np.isfinite(dx).all(axis=1) & (np.abs(dx).max(axis=1) <= 0.1)
-                  & (trial > 0).all(axis=1))
-            rows = rows[ok]
-            X[np.ix_(rows, s)] = trial[ok]
+            trial = np.take_along_axis(x[group], s, axis=1) + dx
+            step = (np.isfinite(dx).all(axis=1) & (np.abs(dx).max(axis=1) <= 0.1)
+                    & (trial > 0).all(axis=1))
+            X[rows[group[step]][:, None], s[step]] = trial[step]
+            ok[group] = step
+        rows = rows[ok]
     return X
 
 

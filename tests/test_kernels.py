@@ -235,6 +235,13 @@ def test_a_flat_certified_polynomial_reports_a_certified_vertex():
     assert report.argmax == pl.SimplexPoint([0.5, 0.5])
 
 
+def _counted(calls, name, real):
+    def spy(*args):
+        calls[name] += 1
+        return real(*args)
+    return spy
+
+
 @pytest.mark.parametrize("P", [pl.complete_pattern(5, 3),
                                pl.pattern_of_hypergraph(
                                    pl.blowup(pl.complete_pattern(4, 3), (2, 2, 2, 2))[0])],
@@ -243,16 +250,9 @@ def test_each_derived_table_is_built_once(P, monkeypatch):
     # A certificate of None is kept as well, so the uncertified blowup does
     # not rebuild its chamber on the second call.
     calls = Counter()
-
-    def counted(name, real):
-        def spy(*args):
-            calls[name] += 1
-            return real(*args)
-        return spy
-
-    monkeypatch.setattr(_Poly.merged, "func", counted("merged", _Poly.merged.func))
+    monkeypatch.setattr(_Poly.merged, "func", _counted(calls, "merged", _Poly.merged.func))
     for name in ("_twin_classes", "_chamber_piece"):
-        monkeypatch.setattr(lagrangian, name, counted(name, getattr(lagrangian, name)))
+        monkeypatch.setattr(lagrangian, name, _counted(calls, name, getattr(lagrangian, name)))
     lagrangian._polynomial.cache_clear()
     first = pl.maximize(P)
     scatter = _polynomial(P).scatter
@@ -394,6 +394,16 @@ def test_row_blocks_match_row_by_row(P, seed):
         np.testing.assert_allclose(g, _grad_rows(poly, x[None, :])[0], rtol=0, atol=1e-14)
 
 
+@settings(max_examples=30)
+@given(large_patterns(), st.integers(0, 2**32 - 1))
+def test_blocked_hessians_equal_one_shot_hessians(P, seed):
+    # bincount sums each row's cells in the same order in a block as in one
+    # call over every row, so the blocks change no bit.
+    poly = _polynomial(P)
+    X = np.random.default_rng(seed).dirichlet(np.ones(P.m), size=poly.block + 3)
+    np.testing.assert_array_equal(_hessian_rows(poly, X), _hessian_rows.__wrapped__(poly, X))
+
+
 def test_row_blocks_of_the_empty_pattern():
     poly = _polynomial(pl.Pattern(3, 3, []))
     X = np.full((poly.block + 3, 3), 1.0 / 3)
@@ -412,12 +422,89 @@ def test_stacked_finish_never_loses_value(case):
     np.testing.assert_allclose(R.sum(axis=1), 1.0, rtol=0, atol=1e-12)
     # The first rows are the face polishes of X, in order: coordinates off
     # a row's support face stay as they are.  Polished in another stack, a
-    # face's batched solves differ in the last bits, which a singular
-    # Newton matrix spreads to about 1e-9.
+    # row's batched kernels and solves differ in the last bits, which a
+    # singular Newton matrix spreads to about 1e-9.
     off = X <= 1e-12
     np.testing.assert_array_equal(R[:len(X)][off], X[off])
     assert (R[:len(X)][~off] > 0).all()
     np.testing.assert_allclose(R[:len(X)], _kkt_polish_rows(poly, X), rtol=0, atol=1e-8)
+
+
+def _grad_row_by_row(poly, X):
+    return np.vstack([_grad_rows(poly, x[None, :]) for x in X] + [np.empty((0, poly.m))])
+
+
+@KERNEL_SETTINGS
+@given(pattern_and_rows())
+def test_batched_polish_matches_each_row_polished_alone(case):
+    # The gradient's matmul rounds a row differently in stacks of other
+    # sizes.  Where a row's Newton target lies on its face's boundary, or
+    # is reached only linearly, those last bits decide what the guards take
+    # in 25 steps, and the polishes of two stacks can part by 1e-3.  With
+    # the gradient taken row by row, the batching itself must move no bit.
+    P, X = case
+    poly = _polynomial(P)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(lagrangian, "_grad_rows", _grad_row_by_row)
+        R = _kkt_polish_rows(poly, X)
+        alone = np.vstack([_kkt_polish_rows(poly, x[None, :]) for x in X])
+    off = X <= 1e-12
+    np.testing.assert_array_equal(R[off], X[off])
+    np.testing.assert_array_equal(R, alone)
+
+
+def _face_residuals(poly, X, on):
+    G = _grad_rows(poly, X)
+    mu = (X * G).sum(axis=1)
+    return np.where(on, np.abs(G - mu[:, None]), 0.0).max(axis=1)
+
+
+def test_a_failed_solve_stops_only_the_rows_of_its_size(monkeypatch):
+    # Interior points of K4^3 and points on its 3-index faces: the sizes 4
+    # and 3 are solved apart, and a failure at size 3 leaves size 4 going.
+    poly = _polynomial(pl.complete_pattern(4, 3))
+    rng = np.random.default_rng(5)
+    X = 0.25 + rng.uniform(-0.02, 0.02, (6, 4))
+    X[3:, :] = 1 / 3 + rng.uniform(-0.02, 0.02, (3, 4))
+    X[3:, 3] = 0.0
+    X /= X.sum(axis=1, keepdims=True)
+    on = X > 1e-12
+    assert (_face_residuals(poly, _kkt_polish_rows(poly, X), on) < 1e-14).all()
+    pinv = np.linalg.pinv
+
+    def failing(J, *args, **kwargs):
+        if J.shape[-1] == 3 + 1:
+            raise np.linalg.LinAlgError("SVD did not converge")
+        return pinv(J, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "pinv", failing)
+    R = _kkt_polish_rows(poly, X)
+    np.testing.assert_array_equal(R[3:], X[3:])
+    assert (_face_residuals(poly, R[:3], on[:3]) < 1e-14).all()
+    assert (_face_residuals(poly, X[:3], on[:3]) > 1e-3).all()
+
+
+def test_the_k4_3_blowup_finish_takes_one_gradient_per_step(monkeypatch):
+    # The finish stack of K4^3(3,3,3,3) spans more than ten support faces;
+    # all its rows step together, one gradient call per step.
+    G, _ = pl.blowup(pl.complete_pattern(4, 3), (3, 3, 3, 3))
+    stacks = []
+    polish = lagrangian._kkt_polish_rows
+
+    def kept(poly, X):
+        stacks.append((poly, X))
+        return polish(poly, X)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(lagrangian, "_kkt_polish_rows", kept)
+        pl.lagrangian_of_hypergraph(G)
+    poly, X = max(stacks, key=lambda stack: len(stack[1]))
+    assert len(np.unique(X > 1e-12, axis=0)) > 10
+    calls = Counter()
+    for name in ("_grad_rows", "_hessian_rows"):
+        monkeypatch.setattr(lagrangian, name, _counted(calls, name, getattr(lagrangian, name)))
+    polish(poly, X)
+    assert 1 <= calls["_hessian_rows"] < calls["_grad_rows"] <= lagrangian.KKT_POLISH_STEPS
 
 
 @settings(max_examples=60)
