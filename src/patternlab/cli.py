@@ -31,8 +31,7 @@ from .algebra import (decomposition_suite, map_f, nonjump_catalog,
 from .blowups import CONSTRUCTION_TRIALS, blowup, construction_suite, density, sequence_check
 from .errors import CapExceeded, FormatError, PatternLabError
 from .lagrangian import OptimizerConfig, grid_oracle, maximize, minimality_suite
-from .patterns import (Hypergraph, _document, load_any, load_pattern,
-                       pattern_of_hypergraph, save_hypergraph, save_pattern)
+from .patterns import Hypergraph, _document, load_any, load_pattern, pattern_of_hypergraph
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -47,6 +46,12 @@ def _sha256(path: str) -> str:
 
 def _fraction_dict(value) -> dict:
     return {"value": f"{value.numerator}/{value.denominator}", "value_float": float(value)}
+
+
+def _write(path: str, doc, **layout) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, **layout)
+        fh.write("\n")
 
 
 def _report_dict(rep) -> dict:
@@ -126,11 +131,10 @@ def _cmd_union(args) -> tuple[dict, int, list[str]]:
         "labeling": lab.to_dict(),
     }
     if args.out:
-        save_pattern(U, args.out)
+        # The bytes save_pattern writes, from the document printed above.
+        _write(args.out, result["pattern"], separators=(",", ":"))
         sidecar = re.sub(r"\.json$", "", args.out) + ".labeling.json"
-        with open(sidecar, "w", encoding="utf-8") as fh:
-            json.dump(lab.to_dict(), fh, indent=2)
-            fh.write("\n")
+        _write(sidecar, result["labeling"], indent=2)
         result["pattern_file"] = args.out
         result["labeling_file"] = sidecar
     return result, EXIT_OK, [args.file1, args.file2]
@@ -164,7 +168,7 @@ def _cmd_blowup(args) -> tuple[dict, int, list[str]]:
     if G.n >= G.r:
         result["density"] = density(G)
     if args.out:
-        save_hypergraph(G, args.out)
+        _write(args.out, result["hypergraph"], separators=(",", ":"))
         result["hypergraph_file"] = args.out
     return result, EXIT_OK, [args.pattern]
 

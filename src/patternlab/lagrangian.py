@@ -190,15 +190,15 @@ class _Poly:
     with 0-based indices, so the edge <1,1,2> owns slots (0, 0, 1); its
     coefficient is num[e] / den, exactly.  Each term is the
     product of the weights in its r slots, so every kernel gathers r columns
-    of the point matrix.  For S points the value costs O(S*E*r), whatever m
-    is; the gradient adds an (S x r*E) by (r*E x m) matmul against the
-    scatter matrix held here, and the Hessians are S x m x m.
+    of the point matrix.  For S points the value and the gradient cost
+    O(S*E*r), whatever m is, and the Hessians are S x m x m.  Each kernel
+    computes a row with the same operations in the same order whatever
+    other rows share the call, so neither blocks nor stacks change a bit.
     The value and gradient kernels take block rows at a time, so each
     S x E temporary stays cache-sized (256 KB) however many points are
     passed; the Hessian kernel's blocks are r(r-1) times shorter, as it
     holds that many such arrays.  A single point is one block.  The derived
-    tables (scatter, merged, twins, certificate) are built on first use and
-    kept.
+    tables (merged, twins, certificate) are built on first use and kept.
 
     num holds Python integers (object dtype) over one positive int den; a
     pattern has den = 1 and num[e] = r!/prod(mult!).  The float kernels read
@@ -217,18 +217,6 @@ class _Poly:
         self.m = m
         self.r = slots.shape[0]
         self.block = max(16, 32768 // max(1, slots.shape[1]))
-
-    @cached_property
-    def scatter(self) -> np.ndarray:
-        """(r*E) x m matrix sending row j*E + e (slot j of edge e) to column
-        slots[j, e] with weight coef[e], so one matmul sums the slot
-        derivatives.  Built on the first gradient, so callers that only
-        evaluate (the exact suites) never hold it."""
-        r, E = self.slots.shape
-        W = np.zeros((r * E, self.m))
-        W[np.arange(r * E), self.slots.reshape(-1)] = np.tile(self.coef, r)
-        W.setflags(write=False)
-        return W
 
     @cached_property
     def merged(self) -> tuple[np.ndarray, np.ndarray]:
@@ -444,20 +432,24 @@ def _row_blocks(rows=lambda poly: poly.block):
 
 @_row_blocks()
 def _value_rows(poly: _Poly, X: np.ndarray) -> np.ndarray:
-    slots = poly.slots
-    terms = X[:, slots[0]]
-    for idx in slots[1:]:
-        terms *= X[:, idx]
+    """Row sums of the terms, coef times the product of r slots; np.take
+    gathers C-ordered, so a row sums along itself, in a stack as alone."""
+    terms = np.take(X, poly.slots[0], axis=1)
+    for idx in poly.slots[1:]:
+        terms *= np.take(X, idx, axis=1)
     # Integer rows are the grid oracle's, on a pattern polynomial (den 1).
-    return terms @ (poly.coef if X.dtype.kind == "f" else poly.num.astype(X.dtype))
+    terms *= poly.coef if X.dtype.kind == "f" else poly.num.astype(X.dtype)
+    return terms.sum(axis=1)
 
 
 @_row_blocks()
 def _grad_rows(poly: _Poly, X: np.ndarray) -> np.ndarray:
-    """Row gradients: the derivative of a term along slot j is the product of
-    its other r-1 slots, scattered onto column slots[j, e]."""
+    """Row gradients: the derivative of a term along slot j is coef times the
+    product of its other r-1 slots; one bincount over the flattened (row,
+    index) cells sums them onto column slots[j, e]."""
+    S, m = X.shape
     r, E = poly.slots.shape
-    gathered = [X[:, idx] for idx in poly.slots]
+    gathered = [np.take(X, idx, axis=1) for idx in poly.slots]
     # Exclusive prefix and suffix products over the r slots, unrolled: r is
     # tiny, and cumprod along a short axis is far slower than r-1 multiplies.
     prefix = [None] * r
@@ -468,12 +460,14 @@ def _grad_rows(poly: _Poly, X: np.ndarray) -> np.ndarray:
     suffix[r - 2] = gathered[r - 1]
     for j in range(r - 3, -1, -1):
         suffix[j] = suffix[j + 1] * gathered[j + 1]
-    others = np.empty((X.shape[0], r * E))
-    others[:, :E] = suffix[0]
-    others[:, (r - 1) * E:] = prefix[r - 1]
+    others = np.empty((S, r, E))
+    others[:, 0] = suffix[0]
+    others[:, r - 1] = prefix[r - 1]
     for j in range(1, r - 1):
-        np.multiply(prefix[j], suffix[j], out=others[:, j * E:(j + 1) * E])
-    return others @ poly.scatter
+        np.multiply(prefix[j], suffix[j], out=others[:, j])
+    others *= poly.coef
+    flat = np.arange(S)[:, None, None] * m + poly.slots
+    return np.bincount(flat.ravel(), others.ravel(), minlength=S * m).reshape(S, m)
 
 
 # ---------------------------------------------------------------------------
@@ -551,7 +545,7 @@ def _hessian_rows(poly: _Poly, X: np.ndarray) -> np.ndarray:
     one bincount over the flattened (row, index pair) cells sums them all."""
     S, m = X.shape
     E = poly.slots.shape[1]
-    gathered = [X[:, idx] for idx in poly.slots]
+    gathered = [np.take(X, idx, axis=1) for idx in poly.slots]
     cells, weights = [], []
     for j, k in itertools.combinations(range(poly.r), 2):
         rest = np.broadcast_to(poly.coef, (S, E))
@@ -575,9 +569,11 @@ def _kkt_polish_rows(poly: _Poly, X: np.ndarray) -> np.ndarray:
     Newton matrix is singular, so the step is the minimum-norm least-squares
     solution, pinv(J) @ rhs with lstsq's default cutoff.  All rows step
     together: one gradient and one Hessian call per step, then one batched
-    solve per support size, whatever the faces.  The guards act per row: a
-    row whose step leaves its face, blows up, or is large stops at its last
-    point, and a solve that fails stops the rows of its size.
+    solve per support size, whatever the faces.  The kernels and the solves
+    compute each row as if it were alone, so a row polishes to the same bits
+    in any stack.  The guards act per row: a row whose step leaves its face,
+    blows up, or is large stops at its last point, and a solve that fails
+    stops the rows of its size.
     """
     X = X.copy()
     on = X > 1e-12
@@ -705,20 +701,17 @@ def _maximize_arrays(poly: _Poly, cfg: OptimizerConfig):
     number of start rows built.
     """
     m = poly.m
-    value_of = lambda X: _value_rows(poly, X)
-    grad_of = lambda X: _grad_rows(poly, X)
-
     rng = np.random.default_rng(cfg.seed)
     X = np.vstack([_barycenter_starts(m, poly.twins), _random_starts(rng, m, cfg.restarts)])
     S = X.shape[0]
-    F = value_of(X)
+    F = _value_rows(poly, X)
     t = np.ones(S)
     stalled = np.zeros(S, dtype=int)
     needs_finish = np.zeros(S, dtype=bool)
     alive = np.ones(S, dtype=bool)
 
     for _ in range(cfg.max_iterations):
-        G = grad_of(X)
+        G = _grad_rows(poly, X)
         mu = (X * G).sum(axis=1)
         kkt = _kkt_rows(X, G, mu)
         target = cfg.tolerance * np.maximum(1.0, np.abs(mu))
@@ -734,7 +727,7 @@ def _maximize_arrays(poly: _Poly, cfg: OptimizerConfig):
             D = Y - X[todo]
             moved = np.abs(D).max(axis=1) > 1e-15
             gd = (G[todo] * D).sum(axis=1)
-            FY = value_of(Y)
+            FY = _value_rows(poly, Y)
             noise = 1e-15 * np.maximum(1.0, np.abs(F[todo]))
             # The noise slack keeps the line search alive once improvements
             # drop below float resolution; progress below the stall cutoff
@@ -784,7 +777,9 @@ def _maximize_poly(poly: _Poly, cfg: OptimizerConfig) -> OptimizerReport:
     """Report for the maximum of any slot-table polynomial over the simplex;
     the one path behind maximize and the reduced objective of gluing.  The
     candidates are the certified vertices, else the ascent's rows and their
-    refinements.  The one winner rule: the best value within 1e-12, then the
+    refinements, described in one stacked call; a row's description does
+    not depend on the stack, so an uncertified value is eval_lagrange at the
+    winner.  The one winner rule: the best value within 1e-12, then the
     smallest (kkt residual, point)."""
     if poly.certificate:
         exact, vertices = poly.certificate
@@ -792,12 +787,11 @@ def _maximize_poly(poly: _Poly, cfg: OptimizerConfig) -> OptimizerReport:
         used = len(vertices)
     else:
         X, used = _maximize_arrays(poly, cfg)
-    F, kkt, _ = _describe_rows(poly, X)
-    near = F >= F.max() - 1e-12
-    X, kkt = X[near], kkt[near]
-    x = X[np.lexsort((*X.T[::-1], kkt))[0]]
-    # Described alone, so an uncertified value is eval_lagrange at x.
-    value, kkt, mu = (float(v[0]) for v in _describe_rows(poly, x[None, :]))
+    F, kkt, mu = _describe_rows(poly, X)
+    near = np.nonzero(F >= F.max() - 1e-12)[0]
+    best = near[np.lexsort((*X[near].T[::-1], kkt[near]))[0]]
+    x = X[best]
+    value, kkt, mu = float(F[best]), float(kkt[best]), float(mu[best])
     if poly.certificate:
         value = float(exact)
     converged = kkt <= KKT_ACCEPT_FACTOR * cfg.tolerance * max(1.0, abs(mu))

@@ -4,10 +4,12 @@ import os
 import pathlib
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
 import patternlab as pl
+from patternlab import cli, patterns
 from patternlab.cli import _build_parser, main
 from patternlab.data import example_path, list_examples
 
@@ -244,6 +246,41 @@ def test_blowup_and_density(capsys, tmp_path):
     code, doc = run_cli(capsys, "density", str(out))
     assert code == 0
     assert doc["result"]["value"] == "1/2"
+
+
+def _counted(calls, name, real):
+    def count(obj):
+        calls[name] += 1
+        return real(obj)
+    return count
+
+
+@pytest.mark.parametrize("command", ["union", "blowup"])
+def test_an_out_file_is_the_printed_document(capsys, tmp_path, monkeypatch, command):
+    # The document (and the union's labeling) is built once, printed and
+    # written; the file holds the bytes save_pattern / save_hypergraph write.
+    p112 = str(example_path("p_112.json"))
+    out, want = tmp_path / "out.json", tmp_path / "want.json"
+    argv = {"union": ["union", p112, p112, "--on", "2", "--out", str(out)],
+            "blowup": ["blowup", "--pattern", p112, "--sizes", "2,2", "--out", str(out)]}
+    built = Counter()
+    with monkeypatch.context() as patch:
+        for owner, name in ((cli, "_document"), (patterns, "_document"),
+                            (pl.UnionLabeling, "to_dict")):
+            patch.setattr(owner, name, _counted(built, name, getattr(owner, name)))
+        code, doc = run_cli(capsys, *argv[command])
+    assert code == 0
+    P = pl.load_pattern(p112)
+    if command == "union":
+        assert built == {"_document": 1, "to_dict": 1}
+        U, lab = pl.union_on_set(P, P, 2)
+        pl.save_pattern(U, want)
+        sidecar = (tmp_path / "out.labeling.json").read_text()
+        assert sidecar == json.dumps(lab.to_dict(), indent=2) + "\n"
+    else:
+        assert built == {"_document": 1}
+        pl.save_hypergraph(pl.blowup(P, [2, 2])[0], want)
+    assert out.read_bytes() == want.read_bytes()
 
 
 def test_density_rejects_pattern_file(capsys):

@@ -297,8 +297,8 @@ def test_barycenter_starts_match_the_filtered_enumeration(labels):
 
 def test_certified_start_row_skips_the_ascent(monkeypatch):
     # The full barycenter of K10^4 is the one certified vertex, so no start
-    # row is built: the two gradient passes describe the candidate and the
-    # winner, one row each, and the value is the exact 63/125 rounded.
+    # row is built: one gradient pass describes the candidate, which wins,
+    # and the value is the exact 63/125 rounded.
     calls = []
     grad_rows = lagrangian._grad_rows
 
@@ -308,7 +308,7 @@ def test_certified_start_row_skips_the_ascent(monkeypatch):
 
     monkeypatch.setattr(lagrangian, "_grad_rows", counted)
     rep = pl.maximize(pl.complete_pattern(10, 4))
-    assert calls == [1, 1]
+    assert calls == [1]
     assert rep.value == 0.504
     assert rep.argmax.weights.tolist() == [0.1] * 10
     assert rep.restarts_used == 1
@@ -348,7 +348,7 @@ def test_a_certified_vertex_outside_the_start_rows_is_reported_exactly(monkeypat
     assert rep.value == value
     assert rep.argmax == SimplexPoint(np.isin(np.arange(1, P.m + 1), support) / len(support))
     assert rep.support == support
-    assert calls == [1, 1] and rep.restarts_used == 1
+    assert calls == [1] and rep.restarts_used == 1
 
 
 def test_lockstep_stops_at_the_simplex_upper_bound(monkeypatch):
