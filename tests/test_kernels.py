@@ -382,7 +382,7 @@ def large_patterns(draw):
 
 @settings(max_examples=30)
 @given(large_patterns(), st.integers(0, 2**32 - 1))
-def test_each_kernel_computes_a_row_as_if_alone(P, seed):
+def test_row_blocks_match_row_by_row(P, seed):
     # A stack one block and three rows long: neither the blocks, nor the
     # other rows, nor their order may change a bit of a row.
     poly = _polynomial(P)
@@ -394,6 +394,16 @@ def test_each_kernel_computes_a_row_as_if_alone(P, seed):
         alone = np.stack([kernel(poly, x[None, :])[0] for x in X])
         np.testing.assert_array_equal(rows, alone)
         np.testing.assert_array_equal(kernel(poly, X[order]), rows[order])
+
+
+@settings(max_examples=30)
+@given(large_patterns(), st.integers(0, 2**32 - 1))
+def test_blocked_hessians_equal_one_shot_hessians(P, seed):
+    # Each row's cells are summed alone, in the same order in a block as in
+    # one call over every row, so the blocks change no bit.
+    poly = _polynomial(P)
+    X = np.random.default_rng(seed).dirichlet(np.ones(P.m), size=poly.block + 3)
+    np.testing.assert_array_equal(_hessian_rows(poly, X), _hessian_rows.__wrapped__(poly, X))
 
 
 def test_row_blocks_of_the_empty_pattern():
